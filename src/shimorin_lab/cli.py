@@ -15,8 +15,7 @@ The --measure flag takes inline JSON ({"atoms": [...], "densities": [...]}),
 @path/to/file.json, or a named shortcut: delta0, delta1, lebesgue,
 nu_alpha:<alpha>, power:<kappa>,<beta>, atom:<x>,<mass>; shortcuts may be
 combined with '+'. Floats print with 17 significant digits; a fixed --seed
-makes output bytes reproducible. SHIMORIN_LAB_THREADS caps internal
-parallelism (default 1, single-threaded and deterministic).
+makes output bytes reproducible.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -89,22 +86,6 @@ def _parse_exponent(text: str):
         return Fraction(text)
     value = float(text)
     return int(value) if value.is_integer() else value
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SHIMORIN_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map, threaded when SHIMORIN_LAB_THREADS > 1."""
-    n = _thread_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -242,7 +223,7 @@ def cmd_verify(args) -> int:
             ],
         }
 
-    results = _parallel_map(run, checks)
+    results = [run(named) for named in checks]
     report = {"measure": mu.to_spec(), "suite": args.suite, "seed": args.seed,
               "checks": results, "passed": all(r["passed"] for r in results)}
     _write_output(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)

@@ -14,6 +14,9 @@ alpha in (1, 2), and user-tabulated densities). The functionals computed here
 
 use closed forms wherever the catalog permits and graded quadrature in
 u = 1 - r (with a truncation ladder for divergence detection) otherwise.
+Each density also carries the closed form, where the catalog has one, of the
+resolvent integral (1 - r w)^-1 d nu and of its w-derivative, which the
+kernel module sums per component.
 """
 
 from __future__ import annotations
@@ -116,6 +119,13 @@ class Atom:
             raise ValueError(f"atom mass must be positive, got {self.mass}")
 
 
+# Below this |w| the Lebesgue resolvent is summed as a Taylor series: numpy's
+# complex log1p is accurate only to ~eps/|w| (1e-8 relative at |w| = 1.4e-8),
+# and the derivative form cancels to O(w); 16 terms leave 0.05^16 ~ 2e-21.
+_LEBESGUE_TAYLOR_RADIUS = 0.05
+_LEBESGUE_TAYLOR_TERMS = 16
+
+
 @dataclass(frozen=True)
 class PowerDensity:
     """Density kappa * (1 - r)^beta on [0, 1); integrable requires beta > -1."""
@@ -144,6 +154,30 @@ class PowerDensity:
         if e > -1.0:
             return DivergibleValue.finite(self.kappa / (e + 1.0))
         return DivergibleValue.divergent(max(-(e + 1.0), 0.0))
+
+    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray | None:
+        """integral (1 - r w)^-1 d nu = -kappa log1p(-w)/w, or its w-derivative
+        integral r (1 - r w)^-2 d nu = kappa (1/(1-w) + log1p(-w)/w)/w.
+
+        Closed form for beta = 0 only (beta != 0 would need complex 2F1).
+        """
+        if self.beta != 0.0:
+            return None
+        w = np.asarray(w, dtype=complex)
+        out = np.empty_like(w)
+        small = np.abs(w) < _LEBESGUE_TAYLOR_RADIUS
+        k = np.arange(_LEBESGUE_TAYLOR_TERMS, dtype=float)
+        # sum_k c_k w^k with c_k = 1/(k+1), or (k+1)/(k+2) for the derivative
+        coef = (k + 1.0) / (k + 2.0) if derivative else 1.0 / (k + 1.0)
+        ws = w[small]
+        acc = np.zeros_like(ws)
+        for c in coef[::-1]:
+            acc = acc * ws + c
+        out[small] = acc
+        wb = w[~small]
+        lw = np.log1p(-wb) / wb
+        out[~small] = (1.0 / (1.0 - wb) + lw) / wb if derivative else -lw
+        return self.kappa * out
 
     def u_rule(self, depth_zero: int, depth_one: int, order: int,
                per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +225,14 @@ class NuAlphaDensity:
             logv = gammaln(2.0 - self.alpha - s) - gammaln(1.0 - s) - gammaln(2.0 - self.alpha)
             return DivergibleValue.finite(math.exp(logv))
         return DivergibleValue.divergent(s - (2.0 - self.alpha))
+
+    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
+        """integral (1 - r w)^-1 d nu = (1 - w)^(1-alpha), or its w-derivative
+        integral r (1 - r w)^-2 d nu = (alpha - 1) (1 - w)^-alpha."""
+        gap = 1.0 - np.asarray(w, dtype=complex)
+        if derivative:
+            return (self.alpha - 1.0) * gap ** (-self.alpha)
+        return gap ** (1.0 - self.alpha)
 
     def u_rule(self, depth_zero: int, depth_one: int, order: int,
                per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -258,6 +300,9 @@ class TabulatedDensity:
 
     def gap_moment(self, s: float) -> DivergibleValue:
         return _ladder(self, lambda u: u ** (-s))
+
+    def resolvent(self, w: np.ndarray, derivative: bool) -> None:
+        return None  # no closed form; the kernel integrates the grid
 
     def u_rule(self, depth_zero: int, depth_one: int, order: int,
                per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:

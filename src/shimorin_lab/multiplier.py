@@ -77,10 +77,19 @@ def _atom_moments(x: float, mass: float, n: np.ndarray) -> np.ndarray:
 
 
 def _density_integrand(u: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """(1 - (1-u)^(n+1)) / ((n+1) u) on a (n, u) grid, stable for tiny u."""
+    """(1 - (1-u)^(n+1)) / ((n+1) u) on a (n, u) grid, stable for tiny u.
+
+    A tabulated grid may hold the endpoints: u = 1 (r = 0) gives log1p(-1) =
+    -inf and the exact 1/(n+1); u = 0 (r = 1) gives 0/0, set to its limit 1.
+    """
     N = (np.asarray(n, dtype=float) + 1.0)[:, None]
-    lu = np.log1p(-u)[None, :]
-    return -np.expm1(N * lu) / (N * u[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lu = np.log1p(-u)[None, :]
+        out = -np.expm1(N * lu) / (N * u[None, :])
+    at_one = u == 0.0
+    if at_one.any():
+        out[:, at_one] = 1.0
+    return out
 
 
 def _density_moments(mu: RadialMeasure, n: np.ndarray, depth_zero: int,
@@ -226,7 +235,8 @@ def claim1_envelope(mu: RadialMeasure, n: int | np.ndarray) -> tuple[np.ndarray,
             I += d.kappa * (head + rest)
         else:
             u, w = RadialMeasure(densities=(d,)).pushforward_rule()
-            I += np.minimum(1.0, 1.0 / (N[:, None] * u[None, :])) @ w
+            with np.errstate(divide="ignore"):  # a grid node at u = 0 gives min(1, inf)
+                I += np.minimum(1.0, 1.0 / (N[:, None] * u[None, :])) @ w
     I[n == 0] = total_mass(mu)
     lower = (1.0 - math.exp(-1.0)) * I
     return lower, I

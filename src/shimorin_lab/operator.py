@@ -122,20 +122,18 @@ def apply_radial(mu: RadialMeasure, f, z, inner_order: int = 12,
         raise ValueError("radial formula requires no atom at 1")
     z = complex(z)
     u_outer, w_outer = mu.pushforward_rule()
-    pairs = list(zip(u_outer, w_outer)) + [(1.0 - a.x, a.mass) for a in mu.atoms]
+    u = np.concatenate((u_outer, [1.0 - a.x for a in mu.atoms]))
+    wt = np.concatenate((w_outer, [a.mass for a in mu.atoms]))
     x, gw = gauss_rule(inner_order)
     edges = np.linspace(0.0, 1.0, inner_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
     s = (mid[:, None] + half[:, None] * x[None, :]).ravel()   # composite nodes on [0, 1]
     sw = (half[:, None] * gw[None, :]).ravel()                # weights summing to 1
-    total = 0.0 + 0.0j
-    for u, wt in pairs:
-        t = 1.0 - u * (1.0 - s)                               # maps [0, 1] -> [1-u, 1]
-        # dt = u ds cancels the 1/u prefactor, leaving a plain average
-        avg = np.dot(sw, np.asarray(f(t * z), dtype=complex))
-        total += wt * avg
-    return complex(total)
+    t = 1.0 - u[:, None] * (1.0 - s[None, :])                 # row i maps [0, 1] -> [1-u_i, 1]
+    # dt = u ds cancels the 1/u prefactor, leaving a plain average per row
+    avg = np.asarray(f(t * z), dtype=complex) @ sw
+    return complex(np.dot(wt, avg))
 
 
 class HypothesisViolation(ValueError):

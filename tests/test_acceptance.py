@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from shimorin_lab.kernel import (
+    _quadrature_resolvent,
     cz_pointwise_reports,
     envelope_reports,
     eval_kernel,
@@ -58,6 +59,10 @@ def test_criterion_01_nu_alpha_kernel_identity():
         exact = (1.0 - w) ** (-alpha)
         rel = np.max(np.abs(got - exact) / np.abs(exact))
         assert rel <= 1e-6, f"alpha={alpha}: worst relative error {rel:.3e}"
+        # eval_kernel uses the closed form; the quadrature engine must match it too
+        quad = _quadrature_resolvent(mu, w, derivative=False) / (1.0 - w)
+        rel = np.max(np.abs(quad - exact) / np.abs(exact))
+        assert rel <= 1e-6, f"alpha={alpha}: quadrature worst relative error {rel:.3e}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"runtime {elapsed:.2f}s exceeds 10s"
     _report(1, f"fractional-kernel identity to 1e-6 on 600 pairs in {elapsed:.2f}s")

@@ -7,6 +7,9 @@ import pytest
 
 from shimorin_lab.diskquad import DiskRule
 from shimorin_lab.kernel import (
+    _quadrature_resolvent,
+    _resolvent,
+    _rule_for_gap,
     BoundViolation,
     CzConstants,
     CzNotApplicable,
@@ -28,7 +31,91 @@ from shimorin_lab.kernel import (
     supnorm_sandwich,
     universal_size_report,
 )
-from shimorin_lab.measure import RadialMeasure, total_mass
+from shimorin_lab.measure import (
+    Atom,
+    NuAlphaDensity,
+    PowerDensity,
+    RadialMeasure,
+    TabulatedDensity,
+    total_mass,
+)
+
+
+def _boundary_and_small_w(seed: int) -> np.ndarray:
+    """w = z conj(lam) on 2000 boundary pairs (depth 4), plus |w| <= 0.06 and w = 0."""
+    rng = np.random.default_rng(seed)
+    z, lam = sample_boundary_pairs(rng, 2000, depth=4.0)
+    small = 10.0 ** rng.uniform(-12.0, np.log10(0.06), 300) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, 300))
+    return np.concatenate((z * np.conj(lam), small, [0.0]))
+
+
+def _by_quadrature(mu: RadialMeasure, w: np.ndarray, derivative: bool) -> np.ndarray:
+    """The resolvent with every density on the graded u-rule, atoms exact."""
+    out = _quadrature_resolvent(mu, w, derivative)
+    for a in mu.atoms:
+        if derivative:
+            out += a.mass * a.x / (1.0 - a.x * w) ** 2
+        else:
+            out += a.mass / (1.0 - a.x * w)
+    return out
+
+
+class TestResolvent:
+    @pytest.mark.parametrize("mu", [
+        RadialMeasure.nu_alpha(1.1),
+        RadialMeasure.nu_alpha(1.5),
+        RadialMeasure.nu_alpha(1.9),
+        RadialMeasure.power(2.5, 0.0),
+        RadialMeasure((Atom(0.3, 0.7),), (PowerDensity(1.2, 0.5), NuAlphaDensity(1.3),
+                                          PowerDensity(0.5, 0.0))),
+    ], ids=["nu_1.1", "nu_1.5", "nu_1.9", "2.5_lebesgue", "atom+power+nu+lebesgue"])
+    def test_closed_forms_match_the_quadrature(self, mu):
+        w = _boundary_and_small_w(41)
+        for derivative in (False, True):
+            exact = _resolvent(mu, w, derivative)
+            quad = _by_quadrature(mu, w, derivative)
+            rel = np.max(np.abs(exact - quad) / np.abs(quad))
+            assert rel <= 1e-11, f"derivative={derivative}: {rel:.2e}"
+
+    def test_lebesgue_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(43)
+        phase = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 60))
+        cases = [  # (w, F tolerance, F' tolerance)
+            (10.0 ** rng.uniform(-12.0, np.log10(0.0499), 60) * phase, 1e-15, 1e-15),
+            (rng.uniform(0.0499, 0.0501, 60) * phase, 1e-14, 1e-12),   # branch edge
+            (1.0 - 1e-4 * np.exp(1j * rng.uniform(-1.5, 1.5, 60)), 1e-14, 1e-14),
+        ]
+        lebesgue = PowerDensity(1.0, 0.0)
+        for w, tol_f, tol_df in cases:
+            for derivative, tol in ((False, tol_f), (True, tol_df)):
+                got = lebesgue.resolvent(w, derivative)
+                for g, x in zip(got, w):
+                    with mpmath.workdps(40):
+                        x = mpmath.mpc(x.real, x.imag)
+                        log = mpmath.log(1 - x)
+                        ref = complex((1 / (1 - x) + log / x) / x if derivative else -log / x)
+                    assert abs(g - ref) <= tol * abs(ref), (x, derivative)
+
+    def test_no_closed_form_outside_the_catalog(self):
+        w = np.array([0.5 + 0.1j])
+        assert PowerDensity(1.0, 0.5).resolvent(w, False) is None
+        assert TabulatedDensity((0.0, 1.0), (1.0, 2.0)).resolvent(w, False) is None
+
+    @pytest.mark.parametrize("mu", [
+        RadialMeasure.power(1.0, 0.5),
+        RadialMeasure(densities=(TabulatedDensity((0.0, 0.4, 0.8, 1.0), (1.0, 2.0, 0.5, 1.5)),)),
+    ], ids=["power_0.5", "tabulated"])
+    def test_real_loop_matches_complex_arithmetic(self, mu):
+        # the straightforward complex form of the blocked real-arithmetic loop
+        w = _boundary_and_small_w(47)
+        u, wt = _rule_for_gap(mu, float(np.min(np.abs(1.0 - w))))
+        denom = (1.0 - w)[:, None] + u[None, :] * w[:, None]
+        for derivative, power, fac in ((False, 1, wt), (True, 2, wt * (1.0 - u))):
+            ref = (1.0 / denom ** power) @ fac
+            got = _quadrature_resolvent(mu, w, derivative)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
 class TestEval:
@@ -85,6 +172,16 @@ class TestDoubleIntegral:
     def test_rejects_atom_at_one(self, cat):
         with pytest.raises(ValueError):
             double_integral_eval(cat["delta1"], 0.5, 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tabulated_grid_holding_r1(self, rng):
+        # the node r = 1 (u = 0) enters through its limit weight * (1 - w)^-2
+        r = np.linspace(0.0, 1.0, 33)
+        mu = RadialMeasure(densities=(TabulatedDensity(tuple(r), tuple(1.0 + r ** 2)),))
+        z, lam = sample_boundary_pairs(rng, 100, depth=3.0)
+        a = eval_kernel(mu, z, lam)
+        b = double_integral_eval(mu, z, lam)
+        assert np.max(np.abs(a - b) / (np.abs(a) + total_mass(mu))) <= 1e-7
 
 
 class TestKernelNorm:

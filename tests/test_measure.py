@@ -22,7 +22,7 @@ from shimorin_lab.measure import (
     tail_mass,
     total_mass,
 )
-from shimorin_lab.multiplier import moment_prefix, moments_at
+from shimorin_lab.multiplier import claim1_envelope, moment_prefix, moments_at
 
 
 class TestTotalMass:
@@ -207,6 +207,35 @@ class TestTabulated:
         assert np.all(np.diff(seq.values) < 0.0)
         assert moments_at(mu, [0, 64])[0] == total_mass(mu)
         assert moments_at(mu, [0, 64])[1] == pytest.approx(seq.values[64], rel=1e-10)
+
+
+class TestTabulatedGridEnds:
+    # a grid holding both ends: r = 0 (u = 1) and r = 1 (u = 0)
+    r = np.linspace(0.0, 1.0, 41)
+    v = 0.5 + (1.0 - r) ** 1.5
+
+    def measure(self):
+        return RadialMeasure(densities=(TabulatedDensity(tuple(self.r), tuple(self.v)),))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_moments_are_the_trapezoid_sums(self):
+        N = 64
+        ref = []
+        for n in range(N + 1):
+            # (1 + r + ... + r^n)/(n+1), which is 1 at r = 1
+            g = np.array([sum(x ** k for k in range(n + 1)) / (n + 1) for x in self.r])
+            ref.append(TestTabulated.trapezoid_sum(self.r, self.v * g))
+        mu = self.measure()
+        assert moment_prefix(mu, N).values == pytest.approx(ref, rel=1e-13)
+        assert moments_at(mu, [1, 17, N]) == pytest.approx([ref[1], ref[17], ref[N]], rel=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_envelope_holds_the_moments(self):
+        mu = self.measure()
+        n = np.arange(65)
+        lo, up = claim1_envelope(mu, n)
+        m = moment_prefix(mu, 64).values
+        assert np.all(np.isfinite(up)) and np.all(lo <= m) and np.all(m <= up * (1 + 1e-12))
 
 
 class TestCarleson:

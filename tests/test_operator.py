@@ -103,6 +103,23 @@ class TestRadialRoute:
         with pytest.raises(ValueError):
             apply_radial(cat["delta1"], lambda z: z, 0.5)
 
+    def test_matches_per_node_loop(self, rng):
+        # reference: one f call per outer node, averaged on the composite rule
+        from shimorin_lab._gridquad import gauss_rule
+
+        mu = RadialMeasure.nu_alpha(1.4) + RadialMeasure.dirac(0.3, 0.8)
+        f = TaylorFunction.from_array(rng.normal(size=12) + 1j * rng.normal(size=12))
+        z = 0.6 - 0.5j
+        x, gw = gauss_rule(12)
+        edges = np.linspace(0.0, 1.0, 9)
+        half = 0.5 * np.diff(edges)
+        s = ((edges[:-1] + half)[:, None] + half[:, None] * x[None, :]).ravel()
+        sw = (half[:, None] * gw[None, :]).ravel()
+        u_outer, w_outer = mu.pushforward_rule()
+        ref = sum(wt * np.dot(sw, f((1.0 - u * (1.0 - s)) * z))
+                  for u, wt in list(zip(u_outer, w_outer)) + [(0.7, 0.8)])
+        assert apply_radial(mu, f, z) == pytest.approx(ref, rel=1e-14)
+
 
 class TestRouteEquivalence:
     def test_three_routes_on_polynomials(self, cat, rule, rng):
