@@ -11,6 +11,7 @@ from .classify import (
 from .diskquad import (
     DiskRule,
     SampledFunction,
+    TaylorFunction,
     bloch_seminorm,
     distribution_function,
     integrate,
@@ -57,7 +58,6 @@ from .multiplier import (
     series_partial,
 )
 from .operator import (
-    TaylorFunction,
     apply_multiplier,
     apply_quadrature,
     apply_radial,

@@ -290,8 +290,6 @@ def _add_common(sub, measure: bool = True):
     sub.add_argument("--angular-nodes", type=int, default=256)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="kept for compatibility; each subcommand has a native format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,11 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=("kernel", "multiplier", "testfns", "all"),
                    default="all")
     v.set_defaults(func=cmd_verify)
-
-    kv = sp.add_parser("kernel-verify",
-                       help="alias for 'verify --suite kernel' (JSON bound report)")
-    _add_common(kv)
-    kv.set_defaults(func=cmd_verify, suite="kernel")
 
     m = sp.add_parser("mn", help="multiplier sequence with envelope columns")
     _add_common(m)

@@ -445,12 +445,6 @@ class RadialMeasure:
     def mass_at_one(self) -> float:
         return sum(a.mass for a in self.atoms if a.x == 1.0)
 
-    def without_atom_at_one(self) -> "RadialMeasure":
-        kept = tuple(a for a in self.atoms if a.x != 1.0)
-        if not kept and not self.densities:
-            raise ValueError("removing the atom at 1 leaves the zero measure")
-        return RadialMeasure(kept, self.densities)
-
     def pushforward_rule(self, depth_zero: int = cns.MEASURE_DEPTH_ZERO,
                          depth_one: int = cns.MEASURE_DEPTH_ONE,
                          order: int = cns.MEASURE_ORDER,

@@ -15,12 +15,10 @@ space iff sum (n+1)^(p-3) a_n^p converges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._gridquad import gauss_rule
-from .diskquad import DiskRule, SampledFunction
+from .diskquad import DiskRule, TaylorFunction
 from .kernel import eval_kernel
 from .measure import RadialMeasure
 from .multiplier import dyadic_block_verdict, moment_prefix
@@ -33,61 +31,6 @@ __all__ = [
     "bergman_membership",
     "HypothesisViolation",
 ]
-
-
-@dataclass(frozen=True)
-class TaylorFunction:
-    """Analytic function represented by a finite Taylor coefficient sequence."""
-
-    coefficients: tuple[complex, ...]
-
-    @classmethod
-    def from_array(cls, coeffs) -> "TaylorFunction":
-        arr = np.asarray(coeffs, dtype=complex).ravel()
-        if arr.size == 0 or not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be a non-empty finite sequence")
-        return cls(tuple(arr.tolist()))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coeff_array(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=complex)
-
-    def __call__(self, z) -> np.ndarray | complex:
-        z = np.asarray(z, dtype=complex)
-        c = self.coeff_array()
-        out = np.full(z.shape, c[-1], dtype=complex)
-        for a in c[-2::-1]:
-            out = out * z + a
-        return complex(out) if out.ndim == 0 else out
-
-    def derivative(self) -> "TaylorFunction":
-        c = self.coeff_array()
-        if c.size == 1:
-            return TaylorFunction((0.0 + 0.0j,))
-        return TaylorFunction.from_array(c[1:] * np.arange(1, c.size))
-
-    def as_sampled(self) -> SampledFunction:
-        return SampledFunction(self.__call__, self.derivative().__call__)
-
-    @classmethod
-    def truncate_series(cls, coeff_fn, radius: float, tol: float = 1e-12,
-                        max_terms: int = 200_000) -> "TaylorFunction":
-        """Truncate a_n = coeff_fn(n) so the geometric tail at ``radius`` is < tol."""
-        if not (0.0 < radius < 1.0):
-            raise ValueError("truncation radius must lie in (0, 1)")
-        block, coeffs, n0 = 256, [], 0
-        while n0 < max_terms:
-            n = np.arange(n0, n0 + block)
-            a = np.asarray(coeff_fn(n), dtype=complex)
-            coeffs.append(a)
-            bound = np.abs(a[-1]) * radius ** n[-1] / (1.0 - radius)
-            if bound < tol:
-                break
-            n0 += block
-        return cls.from_array(np.concatenate(coeffs))
 
 
 def apply_multiplier(mu: RadialMeasure, f: TaylorFunction) -> TaylorFunction:

@@ -15,12 +15,13 @@ For the indicator family, T f_t has the explicit expansion
     T f_t(z) = sum_n m_n (n+1) (integral_{E_t} conj(lam)^n dA) z^n
 
 (term-by-term integration of the kernel's uniformly convergent conj(lam)
-series over E_t; the box moments are closed-form). Disk norms of T f_t are
-evaluated by sampling that polynomial on a polar grid, FFT over the uniform
-angular layer: |T f_t| has angular scale ~ t, so small t needs ~10^5 angular
-nodes and per-node kernel quadrature would be prohibitive. The direct
-box-quadrature route remains available (route="direct") and is the only route
-for the aligned family; series-vs-direct agreement is part of the test suite.
+series over E_t; the box moments are closed-form). Disk norms of T f_t (L^q,
+weak-L^q, Bloch) come from the diskquad reducers, which sample a
+TaylorFunction by FFT over the uniform angular layer: |T f_t| has angular
+scale ~ t, so small t needs ~10^5 angular nodes and per-node kernel quadrature
+would be prohibitive. The direct box-quadrature route remains available
+(route="direct") and is the only route for the aligned family; it feeds the
+same reducers, and series-vs-direct agreement is part of the test suite.
 """
 
 from __future__ import annotations
@@ -33,11 +34,17 @@ import numpy as np
 
 from . import constants as cns
 from ._gridquad import gauss_rule
-from .diskquad import DiskRule, SampledFunction
+from .diskquad import (
+    DiskRule,
+    SampledFunction,
+    TaylorFunction,
+    bloch_seminorm,
+    lp_norm,
+    weak_norm,
+)
 from .kernel import KernelBoundReport, bound_report, eval_kernel
 from .measure import RadialMeasure
 from .multiplier import moment_prefix
-from .operator import TaylorFunction
 
 __all__ = [
     "C_ZERO",
@@ -282,86 +289,14 @@ def indicator_response_at(mu: RadialMeasure, t: float, z, route: str = "series",
     return complex(np.dot(weights, k))
 
 
-class _PolarField:
-    """Polynomial sampled on a polar grid: graded radial panels x FFT angles.
+def _series_rule(t: float | None = None) -> DiskRule:
+    """Polar rule for a polynomial of angular scale ~ t (at least 64/t angles).
 
-    The angular count adapts to the polynomial's bandwidth (features of
-    angular scale ~ 1/degree need that many nodes); radial panels refine
+    The angular count is a power of two, at least 4096; radial panels refine
     dyadically toward the boundary.
     """
-
-    def __init__(self, f: TaylorFunction, radial_depth: int = 30, order: int = 12,
-                 angular_count: int | None = None, angular_scale: float | None = None):
-        self.coeffs = f.coeff_array()
-        rule = DiskRule.make(radial_depth, order, 4)
-        self.rho = rule.radial_nodes
-        self.w_rho = rule.radial_weights
-        if angular_count is None:
-            target = 4096
-            if angular_scale is not None:
-                target = max(target, int(64.0 / angular_scale))
-            angular_count = 1 << int(math.ceil(math.log2(target)))
-        self.M = angular_count
-
-    def _fold(self, scaled: np.ndarray) -> np.ndarray:
-        M = self.M
-        pad = (-scaled.size) % M
-        if pad:
-            scaled = np.concatenate((scaled, np.zeros(pad, dtype=scaled.dtype)))
-        return scaled.reshape(-1, M).sum(axis=0)
-
-    def radius_values(self):
-        """Yield (radial_weight, values-on-circle) for each radius."""
-        n = np.arange(self.coeffs.size)
-        for rho, w in zip(self.rho, self.w_rho):
-            with np.errstate(under="ignore"):
-                scaled = self.coeffs * np.exp(n * math.log(rho)) if rho > 0 else \
-                    np.concatenate(([self.coeffs[0]], np.zeros(self.coeffs.size - 1,
-                                                               dtype=complex)))
-            vals = np.fft.ifft(self._fold(scaled)) * self.M
-            yield w, vals
-
-    def lp_norm(self, q: float) -> float:
-        total = 0.0
-        for w, vals in self.radius_values():
-            total += w * np.mean(np.abs(vals) ** q)
-        return float(total ** (1.0 / q))
-
-    def weak_norm(self, q: float, tau_points: int = 200) -> float:
-        lo, hi = np.inf, 0.0
-        for _, vals in self.radius_values():
-            a = np.abs(vals)
-            pos = a[a > 0.0]
-            if pos.size:
-                lo = min(lo, float(pos.min()))
-                hi = max(hi, float(pos.max()))
-        if hi == 0.0:
-            return 0.0
-        taus = np.geomspace(min(lo * 0.999, hi * 0.5), hi * (1.0 - 1e-9), tau_points)
-        mass = np.zeros(tau_points)
-        for w, vals in self.radius_values():
-            idx = np.searchsorted(taus, np.abs(vals), side="left")
-            counts = np.bincount(idx, minlength=tau_points + 1)[: tau_points + 1]
-            mass += (w / self.M) * np.cumsum(counts[::-1])[::-1][1:]
-        return float(np.max(taus * mass ** (1.0 / q)))
-
-
-def _bloch_of(f: TaylorFunction, angular_count: int, radial_depth: int = 30) -> float:
-    df = f.derivative().coeff_array()
-    radii = 1.0 - 2.0 ** (-np.arange(radial_depth + 1, dtype=float))
-    n = np.arange(df.size)
-    M = angular_count
-    pad = (-df.size) % M
-    best = 0.0
-    for rho in radii:
-        with np.errstate(under="ignore"):
-            scaled = df * np.exp(n * math.log(rho)) if rho > 0 else \
-                np.concatenate(([df[0]], np.zeros(df.size - 1, dtype=complex)))
-        if pad:
-            scaled = np.concatenate((scaled, np.zeros(pad, dtype=complex)))
-        vals = np.fft.ifft(scaled.reshape(-1, M).sum(axis=0)) * M
-        best = max(best, float((1.0 - rho * rho) * np.abs(vals).max()))
-    return abs(complex(f(0.0))) + best
+    target = 4096 if t is None else max(4096, int(64.0 / t))
+    return DiskRule.make(30, 12, 1 << int(math.ceil(math.log2(target))))
 
 
 # ---------------------------------------------------------------------------
@@ -414,42 +349,35 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     quadrature (only feasible at single points / small rules, and the only
     route for the aligned family).
     """
+    param = float(param)
     if family in ("indicator", "aligned"):
-        t = float(param)
-        b = box(t)
-        f_norm = b.area ** (1.0 / p)
+        f_norm = box(param).area ** (1.0 / p)
         if family == "aligned" or route == "direct":
-            return _direct_ratio(mu, p, q, family, t, weak, rule, z_t, f_norm)
-        tf = indicator_response(mu, t)
-        if q == math.inf:
-            field_M = _PolarField(tf, angular_scale=t)  # reuse bandwidth choice
-            val = _bloch_of(tf, field_M.M)
+            tf = _direct_response(mu, family, param, z_t)
+            if q == math.inf:
+                raise ValueError("Bloch target is only wired to the series route")
+            if rule is None:
+                rule = DiskRule.make(radial_depth=16, order=8, angular_count=512)
         else:
-            field = _PolarField(tf, angular_scale=t)
-            val = field.weak_norm(q) if weak else field.lp_norm(q)
-        return RatioResult(t, f_norm, val)
-    if family in ("power", "block"):
-        exponent = float(param)
-        f = power_testfn(exponent, n_terms) if family == "power" else \
-            block_testfn(mu, exponent, n_terms)
+            tf, rule = indicator_response(mu, param), _series_rule(param)
+    elif family in ("power", "block"):
+        f = power_testfn(param, n_terms) if family == "power" else \
+            block_testfn(mu, param, n_terms)
         m = moment_prefix(mu, f.degree).values
-        tf = TaylorFunction.from_array(m * f.coeff_array())
-        f_field = _PolarField(f)
-        f_norm = f_field.lp_norm(p)
-        if q == math.inf:
-            val = _bloch_of(tf, _PolarField(tf).M)
-        else:
-            tf_field = _PolarField(tf)
-            val = tf_field.weak_norm(q) if weak else tf_field.lp_norm(q)
-        return RatioResult(exponent, f_norm, val)
-    raise ValueError(f"unknown family {family!r}")
+        tf, rule = TaylorFunction.from_array(m * f.coeff_array()), _series_rule()
+        f_norm = lp_norm(f, p, rule)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if q == math.inf:
+        val = bloch_seminorm(SampledFunction(tf, tf.derivative()),
+                             rule.radial_depth, rule.angular_count)
+    else:
+        val = weak_norm(tf, q, rule) if weak else lp_norm(tf, q, rule)
+    return RatioResult(param, f_norm, val)
 
 
-def _direct_ratio(mu, p, q, family, t, weak, rule, z_t, f_norm) -> RatioResult:
-    from .diskquad import lp_norm as disk_lp_norm, weak_norm as disk_weak_norm
-
-    if rule is None:
-        rule = DiskRule.make(radial_depth=16, order=8, angular_count=512)
+def _direct_response(mu: RadialMeasure, family: str, t: float, z_t):
+    """T f on the disk by box quadrature of the kernel, for evaluation at nodes."""
     f = indicator_testfn(t) if family == "indicator" else aligned_testfn(mu, t, z_t)
     nodes, weights = box(t).gauss_nodes(32, 12)
     fvals = f(nodes)
@@ -464,10 +392,7 @@ def _direct_ratio(mu, p, q, family, t, weak, rule, z_t, f_norm) -> RatioResult:
             out[sl] = k @ (weights * fvals)
         return out.reshape(z.shape)
 
-    if q == math.inf:
-        raise ValueError("Bloch target is only wired to the series route")
-    val = disk_weak_norm(tf, q, rule) if weak else disk_lp_norm(tf, q, rule)
-    return RatioResult(t, f_norm, val)
+    return tf
 
 
 def ratio_sweep(mu: RadialMeasure, p: float, q: float, family: str,
@@ -484,6 +409,6 @@ def subharmonic_transfer_report(mu: RadialMeasure, t: float, q: float,
     z_t = math.sqrt(1.0 - t)
     tf = indicator_response(mu, t)
     lhs = abs(complex(tf(z_t))) ** q
-    rhs = (16.0 / (t * t)) * _PolarField(tf, angular_scale=t).lp_norm(q) ** q
+    rhs = (16.0 / (t * t)) * lp_norm(tf, q, _series_rule(t)) ** q
     return bound_report(f"subharmonic-transfer[t={t}]", np.array([lhs]),
                         np.array([rhs]), (np.array([z_t]),), strict)

@@ -119,6 +119,11 @@ class TestVerify:
         code, out, _ = run_cli("--help")
         assert code == 0 and "shimorin-lab" in out
 
+    def test_removed_format_flag_and_alias_exit_2(self):
+        assert run_cli("classify", "--measure", "delta1", "--p", "2", "--q", "2",
+                       "--format", "csv")[0] == EXIT_CONFIG
+        assert run_cli("kernel-verify", "--measure", "delta1")[0] == EXIT_CONFIG
+
 
 class TestDeterminism:
     def test_identical_bytes(self, tmp_path):

@@ -8,6 +8,7 @@ from shimorin_lab.diskquad import (
     NonFiniteSampleError,
     QuadratureNonconvergence,
     SampledFunction,
+    TaylorFunction,
     bloch_seminorm,
     distribution_function,
     integrate,
@@ -156,3 +157,33 @@ class TestBloch:
     def test_requires_derivative(self):
         with pytest.raises(ValueError):
             bloch_seminorm(SampledFunction(lambda z: z))
+
+
+class TestPolynomialSampler:
+    """A TaylorFunction is sampled by FFT; any other callable at the nodes."""
+
+    @pytest.fixture(scope="class")
+    def poly(self):
+        # degree 100 on 16 angles: the coefficient fold wraps six times
+        n = np.arange(101)
+        return TaylorFunction.from_array(0.97 ** n * np.exp(1j * n))
+
+    def test_fft_branch_matches_node_evaluation(self, poly):
+        rule = DiskRule.make(radial_depth=20, order=8, angular_count=16)
+        plain = poly.__call__  # a bound method is not a TaylorFunction
+        for p in (1.0, 2.0, 4.0):
+            assert lp_norm(poly, p, rule) == pytest.approx(lp_norm(plain, p, rule), rel=1e-13)
+        for q in (1.0, 2.0):
+            assert weak_norm(poly, q, rule) == pytest.approx(weak_norm(plain, q, rule),
+                                                             rel=1e-13)
+        dpoly = poly.derivative()
+        fft = bloch_seminorm(SampledFunction(poly, dpoly), 20, 16)
+        nodes = bloch_seminorm(SampledFunction(plain, dpoly.__call__), 20, 16)
+        assert fft == pytest.approx(nodes, rel=1e-13)
+
+    def test_overflow_raises_with_node(self):
+        rule = DiskRule.make(radial_depth=8, order=4, angular_count=4)
+        huge = TaylorFunction.from_array(np.full(8, 1e308))  # two terms per folded bin
+        with pytest.raises(NonFiniteSampleError) as err:
+            lp_norm(huge, 2.0, rule)
+        assert abs(err.value.node) < 1.0

@@ -34,6 +34,14 @@ class TestTaylorFunction:
         with pytest.raises(ValueError):
             TaylorFunction.from_array([])
 
+    def test_coefficients_are_a_readonly_copy(self):
+        src = np.array([1.0, 2.0, 3.0])
+        f = TaylorFunction.from_array(src)
+        src[0] = 99.0
+        assert f.coeff_array() is f.coefficients
+        assert f.coefficients.dtype == complex and not f.coefficients.flags.writeable
+        assert f(0.0) == 1.0
+
 
 class TestMultiplierRoute:
     def test_identity_for_delta1(self, cat):

@@ -13,7 +13,7 @@ from shimorin_lab.operator import TaylorFunction, apply_multiplier, bergman_memb
 from shimorin_lab.testfns import (
     C_ZERO,
     C_ZERO_TILDE,
-    _PolarField,
+    _series_rule,
     aligned_testfn,
     block_testfn,
     box,
@@ -205,18 +205,18 @@ class TestIndicatorResponse:
             sq = np.fft.irfft(np.fft.rfft(c, 2 * c.size) ** 2, 2 * c.size)[: 2 * c.size - 1]
             k2 = np.arange(1, sq.size + 1, dtype=float)
             l4 = np.sum(sq * sq / k2) ** 0.25
-            field = _PolarField(tf, angular_scale=t)
-            assert field.lp_norm(2.0) == pytest.approx(l2, rel=1e-10)
-            assert field.lp_norm(4.0) == pytest.approx(l4, rel=1e-10)
+            rule = _series_rule(t)
+            assert lp_norm(tf, 2.0, rule) == pytest.approx(l2, rel=1e-10)
+            assert lp_norm(tf, 4.0, rule) == pytest.approx(l4, rel=1e-10)
 
     def test_angular_resolution_converged(self, cat):
         # doubling the angular grid at the smallest acceptance scale is a no-op
         mu = cat["lebesgue"]
         t = 2.0 ** -10
         tf = indicator_response(mu, t)
-        base = _PolarField(tf, angular_scale=t)
-        fine = _PolarField(tf, angular_count=2 * base.M)
-        assert base.lp_norm(4.0) == pytest.approx(fine.lp_norm(4.0), rel=1e-9)
+        base = _series_rule(t)
+        fine = DiskRule.make(30, 12, 2 * base.angular_count)
+        assert lp_norm(tf, 4.0, base) == pytest.approx(lp_norm(tf, 4.0, fine), rel=1e-9)
 
 
 class TestRatioExperiments:
