@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from . import testfns as tf
 from .classify import ExponentPair, region_grid, region_verdict, standard_estimate
 from .diskquad import DiskRule
 from .measure import RadialMeasure, critical_index
-from .multiplier import claim1_envelope, moment_prefix
+from .multiplier import _quadrature_moments, claim1_envelope, moment_prefix, moments_at
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -96,7 +97,7 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -173,8 +174,18 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
             r2 = kr.bound_report("claim1-upper", m, up, (n,), strict=False)
             return [r1, r2]
 
+        def routes():
+            # closed forms against the independent quadrature route
+            dens = RadialMeasure(densities=mu.densities)
+            n = np.unique(np.append(2 ** np.arange(14), 10000))
+            quad = _quadrature_moments(dens, n)
+            gap = np.abs(moments_at(dens, n) - quad)
+            return [kr.bound_report("mn-routes", gap, 1e-12 * quad, (n,), strict=False)]
+
         yield "mn-monotone", monotone
         yield "claim1-envelope", envelope
+        if mu.densities:
+            yield "mn-routes", routes
 
     def testfn_checks():
         def area():
@@ -235,7 +246,7 @@ def cmd_mn(args) -> int:
     seq = moment_prefix(mu, args.N)
     n = np.arange(args.N + 1)
     lo, up = claim1_envelope(mu, n)
-    rows = [[int(k), float(seq.values[k]), float(lo[k]), float(up[k])] for k in n]
+    rows = zip(n.tolist(), seq.values.tolist(), lo.tolist(), up.tolist())
     _write_output(_csv_text(["n", "m_n", "claim1_lower", "claim1_upper"], rows), args.out)
     return EXIT_OK
 

@@ -15,9 +15,9 @@ in closed form, F = (1 - w)^(1-alpha) and F = -kappa log1p(-w)/w; the other
 densities (power with beta != 0, tabulated) by quadrature over their
 pushforward rule in u = 1 - r, with the mesh graded below the smallest
 |1 - w| in the batch, in real arithmetic on cache-sized blocks. The nested
-double-integral route, the upper side of the norm envelope and the
-multipliers stay on the graded u-rule for every density, so on a catalog
-measure they cross-check the closed forms. L^p norms of K(z, .) use a
+double-integral route and the upper side of the norm envelope stay on the
+graded u-rule for every density, so on a catalog measure they cross-check
+the closed forms. L^p norms of K(z, .) use a
 dedicated polar rule graded toward the near-singular direction (a uniform
 angular grid would need ~1/(1-|z|) nodes); by rotation invariance the norm
 depends on |z| only. The module also predicts the Calderon-Zygmund size and

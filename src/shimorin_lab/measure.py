@@ -14,9 +14,12 @@ alpha in (1, 2), and user-tabulated densities). The functionals computed here
 
 use closed forms wherever the catalog permits and graded quadrature in
 u = 1 - r (with a truncation ladder for divergence detection) otherwise.
-Each density also carries the closed form, where the catalog has one, of the
-resolvent integral (1 - r w)^-1 d nu and of its w-derivative, which the
-kernel module sums per component.
+Each density also carries the closed forms, where the catalog has them, of
+the resolvent integral (1 - r w)^-1 d nu with its w-derivative, and of the
+coefficient multipliers m_n = (n+1)^-1 integral (1 - r^(n+1))/(1 - r) d nu;
+the kernel and multiplier modules sum these per component. Power and nu_alpha
+densities have both multiplier closed forms (Gamma ratios in an O(1)-term
+Stirling form); tabulated densities have none and go through quadrature.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, digamma, gamma, gammaln, zeta
 
 from . import constants as cns
 from ._gridquad import (
@@ -125,6 +128,67 @@ class Atom:
 _LEBESGUE_TAYLOR_RADIUS = 0.05
 _LEBESGUE_TAYLOR_TERMS = 16
 
+_EULER_GAMMA = 0.57721566490153286061
+
+# Gamma ratios for the multiplier closed forms. exp(gammaln - gammaln) loses
+# ~1e-10 relative near x = 1e5 (each log-gamma is ~1e6 in size), and
+# scipy's poch keeps ~10 digits; the Stirling form below keeps only O(1)
+# terms. Arguments x below _STIRLING_FROM are shifted up by _STIRLING_FROM
+# first; the truncated tail T(z) = sum_j c_j z^-(2j+1) is below 1e-17
+# relative from there on.
+_STIRLING_FROM = 30
+_STIRLING_COEF = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
+# log Gamma(1 + b) by its Taylor series below this |b|: forming 1 + b would
+# round away the low bits of a small b; 0.25^40 leaves ~1e-24.
+_LGAMMA1P_SERIES_BELOW = 0.25
+_LGAMMA1P_TERMS = 40
+
+
+def _lgamma1p(b: float) -> float:
+    """log Gamma(1 + b) = -gamma b + sum_{k>=2} zeta(k) (-b)^k / k, for b > -1."""
+    if abs(b) >= _LGAMMA1P_SERIES_BELOW:
+        return math.lgamma(1.0 + b)
+    k = np.arange(_LGAMMA1P_TERMS, 1, -1)  # smallest terms first
+    return -_EULER_GAMMA * b + math.fsum(zeta(k) * (-b) ** k / k)
+
+
+def _stirling_tail_step(y: np.ndarray, b: float) -> np.ndarray:
+    """T(y + b) - T(y) as an explicit multiple of b, without cancellation.
+
+    With p = 1/(y+b), q = 1/y and r = p/q, p^m - q^m = (p - q) q^(m-1)
+    (1 + r + ... + r^(m-1)) and p - q = -b p q.
+    """
+    q = 1.0 / y
+    p = 1.0 / (y + b)
+    r = y * p
+    geo, r_pow, q_pow = np.ones_like(y), np.ones_like(y), np.ones_like(y)
+    acc = np.full_like(y, _STIRLING_COEF[0])
+    for c in _STIRLING_COEF[1:]:
+        for _ in range(2):
+            r_pow = r_pow * r
+            geo = geo + r_pow
+        q_pow = q_pow * (q * q)
+        acc = acc + c * q_pow * geo
+    return -b * p * q * acc
+
+
+def _stirling_split(x: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(y, rest) with log(Gamma(x + b) / Gamma(x)) = b log(y) + rest, for x >= 1, x + b > 0.
+
+    Stirling's series at y (y = x, or x + _STIRLING_FROM below that) gives
+    rest = (y + b - 1/2) log1p(b/y) - b + T(y + b) - T(y), and the shift is
+    undone by - sum_k log1p(b / (x + k)). Each term is O(b) and carries its
+    own relative rounding only, so rest is accurate relative to |b| as well.
+    """
+    x = np.asarray(x, dtype=float)
+    low = x < _STIRLING_FROM
+    y = np.where(low, x + _STIRLING_FROM, x)
+    rest = (y + b - 0.5) * np.log1p(b / y) - b + _stirling_tail_step(y, b)
+    if np.any(low):
+        shift = x[low, None] + np.arange(_STIRLING_FROM)
+        rest[low] -= np.log1p(b / shift).sum(axis=1)
+    return y, rest
+
 
 @dataclass(frozen=True)
 class PowerDensity:
@@ -178,6 +242,30 @@ class PowerDensity:
         lw = np.log1p(-wb) / wb
         out[~small] = (1.0 / (1.0 - wb) + lw) / wb if derivative else -lw
         return self.kappa * out
+
+    def moments(self, n: np.ndarray) -> np.ndarray:
+        """m_n = kappa (1/beta - Gamma(beta) Gamma(n+2) / Gamma(n+2+beta)) / (n+1),
+        and kappa H_(n+1) / (n+1) = kappa (psi(n+2) + gamma) / (n+1) at beta = 0.
+
+        With R = Gamma(1+beta) Gamma(n+2) / Gamma(n+2+beta) = e^L the sum is
+        (1 - R) / beta, taken as -expm1(L) / beta: L is a sum of O(beta)
+        terms, so small |beta| cancels nothing (1/beta - ... would lose
+        log10(1/|beta|) digits). For beta < 0 and L >= 1, 1 - R is formed
+        from R itself, whose factors are each exact to an ulp.
+        """
+        N = np.asarray(n, dtype=float) + 1.0
+        b = self.beta
+        if b == 0.0:
+            return self.kappa * (digamma(N + 1.0) + _EULER_GAMMA) / N
+        lg = _lgamma1p(b)
+        y, rest = _stirling_split(N + 1.0, b)
+        L = lg - (b * np.log(y) + rest)
+        if b > 0.0:
+            one_minus_r = -np.expm1(L)
+        else:
+            one_minus_r = np.where(L < 1.0, -np.expm1(L),
+                                   1.0 - np.exp(lg - rest) * y ** (-b))
+        return self.kappa * one_minus_r / (b * N)
 
     def u_rule(self, depth_zero: int, depth_one: int, order: int,
                per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -233,6 +321,13 @@ class NuAlphaDensity:
         if derivative:
             return (self.alpha - 1.0) * gap ** (-self.alpha)
         return gap ** (1.0 - self.alpha)
+
+    def moments(self, n: np.ndarray) -> np.ndarray:
+        """m_n = Gamma(n+alpha) / (Gamma(alpha) Gamma(n+2)), the Gamma ratio as
+        y^(alpha-2) e^rest from the Stirling split (the power taken directly)."""
+        b = self.alpha - 2.0
+        y, rest = _stirling_split(np.asarray(n, dtype=float) + 2.0, b)
+        return y ** b * np.exp(rest) / gamma(self.alpha)
 
     def u_rule(self, depth_zero: int, depth_one: int, order: int,
                per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -303,6 +398,9 @@ class TabulatedDensity:
 
     def resolvent(self, w: np.ndarray, derivative: bool) -> None:
         return None  # no closed form; the kernel integrates the grid
+
+    def moments(self, n: np.ndarray) -> None:
+        return None  # no closed form; the multiplier integrates the grid
 
     def u_rule(self, depth_zero: int, depth_one: int, order: int,
                per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -405,20 +503,44 @@ class RadialMeasure:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "RadialMeasure":
-        """Parse {"atoms": [{"x":..,"mass":..}], "densities": [{"kind":..}, ...]}."""
-        atoms = tuple(Atom(float(a["x"]), float(a["mass"])) for a in spec.get("atoms", []))
+        """Parse {"atoms": [{"x":..,"mass":..}], "densities": [{"kind":..}, ...]}.
+
+        A malformed spec raises ValueError naming the entry and the field.
+        """
+        def entries(key: str) -> list[dict]:
+            items = spec.get(key, [])
+            if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
+                raise ValueError(f"measure spec field {key!r} must be a list of objects")
+            return items
+
+        def field(entry: dict, key: str, what: str, many: bool = False):
+            if key not in entry:
+                raise ValueError(f"{what} spec is missing field {key!r}")
+            value = entry[key]
+            try:
+                return tuple(map(float, value)) if many else float(value)
+            except (TypeError, ValueError):
+                shape = "a list of numbers" if many else "a number"
+                raise ValueError(f"{what} field {key!r} must be {shape}, "
+                                 f"got {value!r}") from None
+
+        if not isinstance(spec, dict):
+            raise ValueError("measure spec must be a JSON object")
+        atoms = tuple(Atom(field(a, "x", "atom"), field(a, "mass", "atom"))
+                      for a in entries("atoms"))
         dens = []
-        for d in spec.get("densities", []):
+        for d in entries("densities"):
             kind = d.get("kind")
+            what = f"{kind} density"
             if kind == "power":
-                dens.append(PowerDensity(float(d["kappa"]), float(d["beta"])))
+                dens.append(PowerDensity(field(d, "kappa", what), field(d, "beta", what)))
             elif kind == "nu_alpha":
-                dens.append(NuAlphaDensity(float(d["alpha"])))
+                dens.append(NuAlphaDensity(field(d, "alpha", what)))
             elif kind == "lebesgue":
                 dens.append(PowerDensity(1.0, 0.0))
             elif kind == "tabulated":
-                dens.append(TabulatedDensity(tuple(map(float, d["r"])),
-                                             tuple(map(float, d["values"]))))
+                dens.append(TabulatedDensity(field(d, "r", what, many=True),
+                                             field(d, "values", what, many=True)))
             else:
                 raise ValueError(f"unknown density kind: {kind!r}")
         return cls(atoms, tuple(dens))

@@ -4,15 +4,20 @@ The operator acts on Taylor coefficients as a_n -> m_n a_n with
 
     m_n = (n+1)^-1 * integral (1 - r^(n+1)) / (1 - r) d nu(r),
 
-a positive non-increasing sequence with m_0 = nu([0,1]). Atoms are evaluated
-exactly; densities by graded quadrature in u = 1 - r, writing the integrand
-as (1 - (1-u)^N) / (N u) (stable via expm1/log1p at both ends). The envelope
+a positive non-increasing sequence with m_0 = nu([0,1]). It is summed per
+component, in O(N) for N indices: atoms exactly, power and nu_alpha
+densities by their closed forms (``moments`` in measure.py), and tabulated
+densities by graded quadrature in u = 1 - r, writing the integrand as
+(1 - (1-u)^N) / (N u) (stable via expm1/log1p at both ends), Cauchy-checked
+against a finer rule. That quadrature (``_quadrature_moments``) also stays as
+the independent route the closed forms are checked against. The envelope
 
     (1 - 1/e) * I_n <= m_n <= I_n,   I_n = integral min{1, 1/((n+1) t)} d mu~(t)
 
 (mu~ the pushforward of nu under t = 1 - r) pins every m_n between closed
-forms, and the decay exponent limsup log m_n / log(n+1) = -s0 is estimated by
-an upper-envelope fit on a geometric index grid.
+forms (atoms, power densities) or a sorted-rule prefix/suffix sum (the other
+densities), and the decay exponent limsup log m_n / log(n+1) = -s0 is
+estimated by an upper-envelope fit on a geometric index grid.
 """
 
 from __future__ import annotations
@@ -24,13 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import constants as cns
-from .measure import (
-    Atom,
-    NuAlphaDensity,
-    PowerDensity,
-    RadialMeasure,
-    total_mass,
-)
+from .measure import PowerDensity, RadialMeasure, total_mass
 
 __all__ = [
     "MultiplierSequence",
@@ -48,6 +47,8 @@ __all__ = [
 
 # exact geometric sums below this index, the stable ratio form above
 ATOM_EXACT_N = 1000
+# elements per (indices x nodes) block of the moment quadrature (2 MB temporaries)
+_BLOCK = 1 << 18
 
 
 class QuadratureError(RuntimeError):
@@ -93,30 +94,16 @@ def _density_integrand(u: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _density_moments(mu: RadialMeasure, n: np.ndarray, depth_zero: int,
-                     order: int, chunk: int = 4096) -> np.ndarray:
+                     order: int) -> np.ndarray:
     u, w = mu.pushforward_rule(depth_zero=depth_zero, order=order)
     if u.size == 0:
         return np.zeros(len(n))
     out = np.empty(len(n))
-    for lo in range(0, len(n), chunk):
-        sl = slice(lo, lo + chunk)
+    rows = max(1, _BLOCK // u.size)
+    for lo in range(0, len(n), rows):
+        sl = slice(lo, lo + rows)
         out[sl] = _density_integrand(u, n[sl]) @ w
     return out
-
-
-def _moments(mu: RadialMeasure, n: np.ndarray, depth_zero: int, order: int) -> np.ndarray:
-    """m_n on the index array n: quadrature for n >= 1, the total mass for n = 0.
-
-    m_0 = nu([0,1]) is taken from the closed-form ``total_mass``: by
-    quadrature the integrand at n = 0 is 1 only up to rounding, and that
-    rounding depends on how many indices share the BLAS product, so m_0
-    would change in its last bits with the length of n.
-    """
-    vals = _density_moments(mu, n, depth_zero, order)
-    for a in mu.atoms:
-        vals = vals + _atom_moments(a.x, a.mass, n)
-    vals[n == 0] = total_mass(mu)
-    return vals
 
 
 def _depth_for(nmax: int) -> int:
@@ -131,7 +118,8 @@ class MultiplierSequence:
     Invariants checked on construction: m_0 equals the total mass, all values
     positive, and the sequence non-increasing (up to summation roundoff).
     m_0 is the closed-form total mass itself, not a quadrature value (whose
-    last bits would depend on BLAS rounding and on N); m_1.. are quadrature.
+    last bits would depend on BLAS rounding and on N); m_1.. are closed forms
+    plus, for tabulated densities, quadrature.
     """
 
     measure: RadialMeasure
@@ -156,67 +144,116 @@ class MultiplierSequence:
         return len(self.values)
 
 
-def _checked_moments(mu: RadialMeasure, n: np.ndarray) -> np.ndarray:
-    """Moments with a Cauchy accuracy check, escalating the rule before failing.
+def _probe_indices(nmax: int) -> np.ndarray:
+    """1, 2, 4, ... up to nmax, and nmax itself: every octave the rule must resolve."""
+    return np.unique(np.append(2 ** np.arange(max(nmax, 1).bit_length()), nmax))
 
-    The check compares a probe subset against a finer rule; harsh density
+
+def _quadrature_moments(mu: RadialMeasure, n: np.ndarray, check: bool = True) -> np.ndarray:
+    """Density part of m_n on the index array n by the graded u-rule.
+
+    The rule is graded for n.max(). With ``check``, its values on the probe
+    indices are compared with a rule 8 octaves deeper and 8 orders higher,
+    and the order escalates before a QuadratureError; harsh density
     exponents (u^beta with beta near -1) occasionally need the higher orders.
+    This is the independent route for catalog densities (whose moments have
+    closed forms) and the only route for tabulated ones.
     """
-    if not mu.densities:
-        return _moments(mu, n, cns.MEASURE_DEPTH_ZERO, cns.MEASURE_ORDER)
     depth = _depth_for(int(n.max()))
-    pos = np.array([0, len(n) // 3, len(n) - 1])
+    if not check:
+        return _density_moments(mu, n, depth, cns.MEASURE_ORDER)
+    probe = _probe_indices(int(n.max()))
+    both = np.concatenate((n, probe))
     err = np.inf
     for order in (cns.MEASURE_ORDER, cns.MEASURE_ORDER + 8, cns.MEASURE_ORDER + 16):
-        vals = _moments(mu, n, depth, order)
-        ref = _moments(mu, n[pos], depth + 8, order + 8)
-        err = np.max(np.abs(vals[pos] - ref) / np.maximum(np.abs(ref), 1e-300))
+        vals = _density_moments(mu, both, depth, order)
+        ref = _density_moments(mu, probe, depth + 8, order + 8)
+        err = np.max(np.abs(vals[len(n):] - ref) / np.maximum(np.abs(ref), 1e-300))
         if err <= cns.MOMENT_BUDGET:
-            return vals
+            return vals[:len(n)]
     raise QuadratureError(
         f"moment quadrature off by {err:.3e} relative at escalated order "
         f"(budget {cns.MOMENT_BUDGET:.1e})")
 
 
+def _moments(mu: RadialMeasure, n: np.ndarray, check: bool = True) -> np.ndarray:
+    """m_n on the index array n, summed per component.
+
+    Atoms and catalog densities are exact; densities without a closed form
+    go through ``_quadrature_moments`` on a rule graded for them alone.
+    m_0 = nu([0,1]) is taken from the closed-form ``total_mass``, so it does
+    not change in its last bits with the route or the length of n.
+    """
+    vals = np.zeros(len(n))
+    for a in mu.atoms:
+        vals += _atom_moments(a.x, a.mass, n)
+    rest = []
+    for d in mu.densities:
+        exact = d.moments(n)
+        if exact is None:
+            rest.append(d)
+        else:
+            vals += exact
+    if rest:
+        vals += _quadrature_moments(RadialMeasure(densities=tuple(rest)), n, check)
+    vals[n == 0] = total_mass(mu)
+    return vals
+
+
 def moment(mu: RadialMeasure, n: int, *, check: bool = True) -> float:
-    """m_n for a single index; Cauchy-checks the density quadrature when asked."""
+    """m_n for a single index; Cauchy-checks any density quadrature when asked."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    narr = np.array([n])
-    if check:
-        return float(_checked_moments(mu, narr)[0])
-    return float(_moments(mu, narr, _depth_for(n), cns.MEASURE_ORDER)[0])
+    return float(_moments(mu, np.array([n]), check)[0])
 
 
 @lru_cache(maxsize=64)
 def _cached_prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:
-    return MultiplierSequence(mu, _checked_moments(mu, np.arange(N + 1)),
-                              cns.MOMENT_BUDGET)
+    return MultiplierSequence(mu, _moments(mu, np.arange(N + 1)), cns.MOMENT_BUDGET)
 
 
 def moment_prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:
-    """m_0..m_N on a shared quadrature mesh (monotonicity asserted)."""
+    """m_0..m_N (monotonicity asserted); any quadrature shares one mesh."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     return _cached_prefix(mu, int(N))
 
 
 def moments_at(mu: RadialMeasure, n) -> np.ndarray:
-    """m_n on an arbitrary index set (one shared mesh sized for the largest)."""
+    """m_n on an arbitrary index set (any quadrature on one mesh sized for the largest)."""
     n = np.atleast_1d(np.asarray(n, dtype=np.int64))
     if np.any(n < 0):
         raise ValueError("indices must be >= 0")
-    return _checked_moments(mu, n)
+    return _moments(mu, n)
+
+
+def _sorted_rule_envelope(u: np.ndarray, w: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """sum_i w_i min{1, 1/(N u_i)} for every N, in O((len(N) + len(u)) log len(u)).
+
+    On the rule sorted by u, the nodes with u_i <= 1/N give a prefix sum of
+    w and the others a suffix sum of w/u over N. The suffix sum is
+    accumulated from the large-u end: as total minus prefix it would cancel,
+    since sum w/u over the whole nu_alpha rule reaches 2e17 at alpha = 1.9.
+    """
+    order = np.argsort(u, kind="stable")
+    u, w = u[order], w[order]
+    head = np.concatenate(([0.0], np.cumsum(w)))
+    # nodes at u = 0 (r = 1 on a tabulated grid) always lie in the prefix
+    w_over_u = np.divide(w, u, out=np.zeros_like(w), where=u > 0.0)
+    tail = np.concatenate((np.cumsum(w_over_u[::-1])[::-1], [0.0]))
+    k = np.searchsorted(u, 1.0 / N, side="right")
+    return head[k] + tail[k] / N
 
 
 def claim1_envelope(mu: RadialMeasure, n: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided envelope ((1 - 1/e) I_n, I_n) with I_n = integral min{1, 1/((n+1)t)} d mu~.
 
-    Closed forms for atoms and power densities (split at t = 1/(n+1));
-    quadrature for the rest. I_0 = nu([0,1]) exactly (min{1, 1/t} = 1 on
-    [0, 1]) and is the closed-form total mass, as m_0 is, so that the BLAS
-    rounding of the quadrature cannot put m_0 above its own upper envelope.
-    Vectorized over n.
+    Closed forms for atoms and power densities (split at t = 1/(n+1)); the
+    other densities' pushforward rule is sorted once and summed by
+    ``_sorted_rule_envelope``, so time and memory are O(len(n) + nodes).
+    I_0 = nu([0,1]) exactly (min{1, 1/t} = 1 on [0, 1]) and is the
+    closed-form total mass, as m_0 is, so that the rounding of the
+    quadrature cannot put m_0 above its own upper envelope. Vectorized over n.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     N = n + 1.0
@@ -224,19 +261,20 @@ def claim1_envelope(mu: RadialMeasure, n: int | np.ndarray) -> tuple[np.ndarray,
     for a in mu.atoms:
         t = 1.0 - a.x
         I += a.mass * (1.0 if t == 0.0 else np.minimum(1.0, 1.0 / (N * t)))
+    rest = []
     for d in mu.densities:
         if isinstance(d, PowerDensity):
             T = np.minimum(1.0, 1.0 / N)
             head = T ** (d.beta + 1.0) / (d.beta + 1.0)
             if d.beta == 0.0:
-                rest = np.log(1.0 / T) / N
+                tail = np.log(1.0 / T) / N
             else:
-                rest = (1.0 - T ** d.beta) / (d.beta * N)
-            I += d.kappa * (head + rest)
+                tail = (1.0 - T ** d.beta) / (d.beta * N)
+            I += d.kappa * (head + tail)
         else:
-            u, w = RadialMeasure(densities=(d,)).pushforward_rule()
-            with np.errstate(divide="ignore"):  # a grid node at u = 0 gives min(1, inf)
-                I += np.minimum(1.0, 1.0 / (N[:, None] * u[None, :])) @ w
+            rest.append(d)
+    if rest:
+        I += _sorted_rule_envelope(*RadialMeasure(densities=tuple(rest)).pushforward_rule(), N)
     I[n == 0] = total_mass(mu)
     lower = (1.0 - math.exp(-1.0)) * I
     return lower, I

@@ -4,10 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shimorin_lab.cli import EXIT_CONFIG, EXIT_OK, main, parse_measure
 from shimorin_lab.measure import total_mass
+from shimorin_lab.multiplier import claim1_envelope, moment_prefix
 
 
 def run_cli(*args):
@@ -58,6 +60,15 @@ class TestClassifyCommand:
         code, _, err = run_cli("classify", "--measure", "nope", "--p", "1", "--q", "2")
         assert code == EXIT_CONFIG and "error" in err
 
+    @pytest.mark.parametrize("spec, field", [
+        ('{"atoms":[{"x":0.5}]}', "'mass'"),
+        ('{"densities":[{"kind":"power","kappa":1}]}', "'beta'"),
+    ])
+    def test_missing_field_exits_2_with_one_line(self, spec, field):
+        code, out, err = run_cli("mn", "--measure", spec)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and field in err
+
 
 class TestEmitters:
     def test_mn_header_and_first_row(self, capsys):
@@ -100,6 +111,15 @@ class TestEmitters:
         assert len(rows) == 18
         assert rows[1].split(",")[:2] == ["0", f"{total_mass(parse_measure(text)):.17g}"]
 
+    def test_mn_rows_format_each_value(self, capsys):
+        mu = parse_measure("nu_alpha:1.3+atom:0.5,2")
+        main(["mn", "--measure", "nu_alpha:1.3+atom:0.5,2", "--N", "300"])
+        m = moment_prefix(mu, 300).values
+        lo, up = claim1_envelope(mu, np.arange(301))
+        expect = ["n,m_n,claim1_lower,claim1_upper"]
+        expect += [f"{k},{m[k]:.17g},{lo[k]:.17g},{up[k]:.17g}" for k in range(301)]
+        assert capsys.readouterr().out.splitlines() == expect
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "mn.csv"
         main(["mn", "--measure", "delta0", "--N", "4", "--out", str(path)])
@@ -114,6 +134,14 @@ class TestVerify:
 
     def test_lebesgue_multiplier_suite(self, capsys):
         assert main(["verify", "--measure", "lebesgue", "--suite", "multiplier"]) == EXIT_OK
+
+    def test_multiplier_suite_checks_both_moment_routes(self, capsys):
+        for measure, has_density in (("power:1,-0.5+atom:0.5,1", True), ("delta1", False)):
+            assert main(["verify", "--measure", measure, "--suite", "multiplier"]) == EXIT_OK
+            checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+            assert ("mn-routes" in checks) == has_density
+            if has_density:
+                assert checks["mn-routes"]["passed"] is True
 
     def test_help_exits_zero(self):
         code, out, _ = run_cli("--help")

@@ -299,6 +299,20 @@ class TestJsonSchema:
         with pytest.raises(ValueError):
             RadialMeasure.from_spec({"densities": [{"kind": "gaussian"}]})
 
+    @pytest.mark.parametrize("spec, field", [
+        ({"atoms": [{"x": 0.5}]}, "'mass'"),
+        ({"densities": [{"kind": "power", "kappa": 1.0}]}, "'beta'"),
+        ({"densities": [{"kind": "nu_alpha"}]}, "'alpha'"),
+        ({"densities": [{"kind": "tabulated", "r": [0.0, 1.0]}]}, "'values'"),
+        ({"densities": [{"kind": "power", "kappa": 1.0, "beta": None}]}, "'beta'"),
+        ({"densities": [{"kind": "tabulated", "r": 0.5, "values": [1.0]}]}, "'r'"),
+        ({"atoms": [0.5]}, "'atoms'"),
+        ([0.5], "JSON object"),
+    ])
+    def test_malformed_spec_names_the_field(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            RadialMeasure.from_spec(spec)
+
 
 class TestValidation:
     def test_rejects_bad_components(self):

@@ -8,18 +8,31 @@ the telescoped Beta-sum closed form
 
 and the normalized fractional family uses m_n = Gamma(n+alpha)/(Gamma(alpha)
 Gamma(n+2)); both follow by integrating sum r^k termwise against the density.
+The closed forms the package evaluates are also held against the same
+formulas in mpmath at 40 digits, with every argument built from mpf values.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from shimorin_lab.measure import RadialMeasure, catalog, random_catalog_measure, total_mass
+from shimorin_lab.measure import (
+    NuAlphaDensity,
+    PowerDensity,
+    RadialMeasure,
+    TabulatedDensity,
+    catalog,
+    random_catalog_measure,
+    total_mass,
+)
 from shimorin_lab.multiplier import (
     DecayEstimate,
     MultiplierSequence,
+    _probe_indices,
+    _quadrature_moments,
     claim1_envelope,
     decay_exponent_estimate,
     dyadic_block_verdict,
@@ -42,6 +55,74 @@ def power_moment_oracle(kappa: float, beta: float, n: np.ndarray) -> np.ndarray:
 def nu_alpha_moment_oracle(alpha: float, n: np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     return np.exp(gammaln(n + alpha) - gammaln(alpha) - gammaln(n + 2.0))
+
+
+# n = 1..80 and a geometric grid up to 2^17
+MP_GRID = np.unique(np.concatenate((np.arange(1, 81),
+                                    np.geomspace(81, 131072, 40).astype(np.int64))))
+
+
+def mp_power_moment(beta: float, n: np.ndarray) -> np.ndarray:
+    """(1/beta - Gamma(beta) Gamma(n+2) / Gamma(n+2+beta)) / (n+1), or H_(n+1)/(n+1)."""
+    out = []
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        for k in n.tolist():
+            N = mp.mpf(k) + 1
+            if beta == 0.0:
+                s = mp.harmonic(N)
+            else:
+                s = 1 / b - mp.gamma(b) * mp.gamma(N + 1) / mp.gamma(N + 1 + b)
+            out.append(float(s / N))
+    return np.array(out)
+
+
+def mp_nu_alpha_moment(alpha: float, n: np.ndarray) -> np.ndarray:
+    out = []
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        for k in n.tolist():
+            K = mp.mpf(k)
+            out.append(float(mp.gamma(K + a) / (mp.gamma(a) * mp.gamma(K + 2))))
+    return np.array(out)
+
+
+def max_rel(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(got - ref) / np.abs(ref)))
+
+
+class TestClosedFormsAgainstMpmath:
+    @pytest.mark.parametrize("beta", [-0.75, -0.25, -1e-3, 1e-3, -1e-8, 1e-8, 0.25, 1.5, 0.0])
+    def test_power(self, beta):
+        ref = mp_power_moment(beta, MP_GRID)
+        assert max_rel(PowerDensity(1.0, beta).moments(MP_GRID), ref) <= 1e-14
+        assert max_rel(moments_at(RadialMeasure.power(2.5, beta), MP_GRID), 2.5 * ref) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_nu_alpha(self, alpha):
+        ref = mp_nu_alpha_moment(alpha, MP_GRID)
+        assert max_rel(NuAlphaDensity(alpha).moments(MP_GRID), ref) <= 1e-14
+        assert max_rel(moments_at(RadialMeasure.nu_alpha(alpha), MP_GRID), ref) <= 1e-14
+
+    def test_lebesgue_prefix(self):
+        ref = mp_power_moment(0.0, MP_GRID)
+        m = moment_prefix(RadialMeasure.lebesgue(), int(MP_GRID.max())).values
+        assert max_rel(m[MP_GRID], ref) <= 1e-14
+
+    def test_tabulated_has_no_closed_form(self):
+        assert TabulatedDensity((0.0, 1.0), (1.0, 1.0)).moments(MP_GRID) is None
+
+
+class TestQuadratureRoute:
+    def test_probe_is_dyadic_plus_top(self):
+        assert _probe_indices(10000).tolist() == [2 ** k for k in range(14)] + [10000]
+        assert _probe_indices(4096).tolist() == [2 ** k for k in range(13)]
+
+    @pytest.mark.parametrize("name", ["lebesgue", "nu_alpha_1.5", "power_-0.5", "power_0.5"])
+    def test_agrees_with_the_closed_forms(self, cat, name):
+        n = _probe_indices(131072)
+        quad = _quadrature_moments(cat[name], n)
+        assert max_rel(quad, moments_at(cat[name], n)) <= 1e-13
 
 
 class TestMoment:
@@ -150,6 +231,38 @@ class TestClaim1:
             m = seq.values[n]
             assert np.all(lo <= m * (1 + 1e-12))
             assert np.all(m <= up * (1 + 1e-12))
+
+
+def dense_envelope(mu: RadialMeasure, n: np.ndarray) -> np.ndarray:
+    u, w = mu.pushforward_rule()
+    N = n + 1.0
+    with np.errstate(divide="ignore"):  # a grid node at u = 0 gives min(1, inf)
+        return np.minimum(1.0, 1.0 / (N[:, None] * u[None, :])) @ w
+
+
+class TestSortedRuleEnvelope:
+    GRID = np.linspace(0.0, 1.0, 65)   # holds r = 0 and r = 1
+
+    @pytest.mark.parametrize("mu", [
+        RadialMeasure.nu_alpha(1.1),
+        RadialMeasure.nu_alpha(1.5),
+        RadialMeasure.nu_alpha(1.9),
+        RadialMeasure(densities=(TabulatedDensity(tuple(GRID), tuple(1.0 + GRID ** 2)),)),
+    ], ids=["nu_1.1", "nu_1.5", "nu_1.9", "tabulated_r0_r1"])
+    def test_matches_the_dense_product(self, mu):
+        n = np.unique(np.concatenate(([1, 2, 3], np.geomspace(4, 10**6, 80).astype(np.int64))))
+        _, up = claim1_envelope(mu, n)
+        assert max_rel(up, dense_envelope(mu, n)) <= 1e-14
+
+    def test_two_million_indices(self):
+        # the (N+1) x nodes product this replaces needed 23 GiB here
+        n = np.arange(2_000_001)
+        lo, up = claim1_envelope(RadialMeasure.nu_alpha(1.5), n)
+        assert up.shape == n.shape and up[0] == 1.0
+        assert np.all(up > 0.0) and np.all(np.diff(up) <= 1e-13 * up[:-1])
+        assert np.array_equal(lo, (1.0 - math.exp(-1.0)) * up)
+        k = np.array([1, 999, 2_000_000])
+        assert max_rel(up[k], dense_envelope(RadialMeasure.nu_alpha(1.5), k)) <= 1e-14
 
 
 class TestDecay:
