@@ -40,56 +40,32 @@ def panel_rule(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
-def geometric_breaks(lo: float, hi: float, per_octave: int = 1) -> np.ndarray:
-    """Strictly increasing breakpoints lo .. hi, geometric with ratio 2^(1/per_octave)."""
+def geometric_breaks(lo: float, hi: float) -> np.ndarray:
+    """Strictly increasing breakpoints lo .. hi, doubling from lo."""
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    n = int(np.ceil(per_octave * np.log2(hi / lo)))
-    pts = lo * 2.0 ** (np.arange(1, n + 1) / per_octave)
+    n = int(np.ceil(np.log2(hi / lo)))
+    pts = lo * 2.0 ** np.arange(1, n + 1)
     pts = pts[pts < hi * (1 - 1e-12)]
     return np.concatenate(([lo], pts, [hi]))
 
 
-def graded_unit_breaks(depth_zero: int, depth_one: int, per_octave: int = 1) -> np.ndarray:
-    """Breakpoints on [2^-depth_zero, 1 - 2^-depth_one], graded toward both ends.
-
-    ``depth_one = 0`` disables grading toward 1 (plain geometric mesh up to 1).
-    """
-    lo = 2.0 ** (-depth_zero)
-    left = geometric_breaks(lo, 0.5, per_octave)
-    if depth_one <= 0:
-        return np.concatenate((left, [1.0]))
-    right = 1.0 - geometric_breaks(2.0 ** (-depth_one), 0.5, per_octave)[::-1]
-    return np.concatenate((left, right[1:]))
-
-
-def graded_unit_rule(
-    depth_zero: int,
-    depth_one: int,
-    order: int,
-    per_octave: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule on the graded unit-interval mesh."""
-    return panel_rule(graded_unit_breaks(depth_zero, depth_one, per_octave), order)
-
-
-def richardson_tail(values: np.ndarray, eps: np.ndarray) -> float:
+def richardson_tail(values: np.ndarray) -> float:
     """Extrapolate v(eps) -> v(0) assuming v(eps) = V - c*eps^a, a unknown.
 
-    Uses the last three ladder levels (geometric in eps); falls back to the
-    last value when the fitted rate is unusable.
+    Uses the last three ladder levels (geometric in eps, ratio q); falls back
+    to the last value when the fitted rate is unusable.
     """
     v1, v2, v3 = values[-3], values[-2], values[-1]
     d1, d2 = v2 - v1, v3 - v2
     if d2 == 0.0 or d1 == 0.0:
         return float(v3)
     ratio = d2 / d1
-    q = eps[-1] / eps[-2]
     if not (0.0 < ratio < 1.0):
         return float(v3)
-    # v(eps) = V - c eps^a with geometric eps gives d2/d1 = q^a.
-    qa = ratio
-    return float(v3 + d2 * qa / (1.0 - qa))
+    # v(eps) = V - c eps^a with geometric eps gives d2/d1 = q^a, and the
+    # remaining increments sum as a geometric series in q^a.
+    return float(v3 + d2 * ratio / (1.0 - ratio))
 
 
 def ladder_decision(
@@ -115,4 +91,4 @@ def ladder_decision(
         y = np.log(tail)
         slope = np.polyfit(x, y, 1)[0]
         return True, max(float(slope), 0.0)
-    return False, richardson_tail(values, eps)
+    return False, richardson_tail(values)

@@ -4,7 +4,8 @@ Subcommands
 -----------
 classify     verdict for a measure and exponent pair (JSON)
 verify       run an invariant suite against a measure (JSON report, exit 1 on
-             any violated bound, with the witness point)
+             any violated bound, with the witness point, or on a check that
+             raises, with its error)
 mn           CSV of n, m_n and the two-sided envelope columns
 kernel-norm  CSV of |z|, p, kernel L^p norm and its envelope
 ratio-scan   CSV of a dyadic t-sweep of ||T f||_q / ||f||_p with the sweep
@@ -15,14 +16,15 @@ The --measure flag takes inline JSON ({"atoms": [...], "densities": [...]}),
 @path/to/file.json, or a named shortcut: delta0, delta1, lebesgue,
 nu_alpha:<alpha>, power:<kappa>,<beta>, atom:<x>,<mass>; shortcuts may be
 combined with '+'. Floats print with 17 significant digits; a fixed --seed
-makes output bytes reproducible.
+makes output bytes reproducible. A request that cannot be carried out exits 2
+with one 'error:' line on stderr and writes no output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -34,9 +36,10 @@ import numpy as np
 from . import kernel as kr
 from . import testfns as tf
 from .classify import ExponentPair, region_grid, region_verdict, standard_estimate
-from .diskquad import DiskRule
+from .diskquad import NonFiniteSampleError, QuadratureNonconvergence
 from .measure import RadialMeasure, critical_index
-from .multiplier import _quadrature_moments, claim1_envelope, moment_prefix, moments_at
+from .multiplier import QuadratureError, _quadrature_moments, claim1_envelope
+from .multiplier import moment_prefix, moments_at
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -89,26 +92,26 @@ def _parse_exponent(text: str):
     return int(value) if value.is_integer() else value
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _open_out(out: str | None):
+    """The --out file opened for writing, or stdout (left open on exit)."""
     if out and out != "-":
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
 
 
-def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+def _write_output(text: str, out: str | None) -> None:
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
-def _rule_from(args) -> DiskRule:
-    return DiskRule.make(radial_depth=args.radial_depth, order=10,
-                         angular_count=args.angular_nodes)
+def _write_csv(header: list[str], rows: Iterable[Sequence], out: str | None) -> None:
+    """Stream rows through csv.writer; the caller has computed them all, so an
+    error that exits 2 has written nothing."""
+    with _open_out(out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,12 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
             lo, up = claim1_envelope(mu, n)
             m = seq.values[n]
             r1 = kr.bound_report("claim1-lower", lo, m, (n,), strict=False)
-            r2 = kr.bound_report("claim1-upper", m, up, (n,), strict=False)
+            # m_n may exceed I_n by rounding alone (the same sum in another
+            # order when N u >= 1 on every node); within the 1e-13 allowance of
+            # mn-nonincreasing the side is lifted to m_n, other margins unchanged
+            near = m <= up * (1.0 + 1e-13)
+            r2 = kr.bound_report("claim1-upper", m, np.where(near, np.maximum(up, m), up),
+                                 (n,), strict=False)
             return [r1, r2]
 
         def routes():
@@ -221,7 +229,7 @@ def cmd_verify(args) -> int:
         name, thunk = named
         try:
             reports = thunk()
-        except Exception as exc:  # a check that cannot run is a config-level failure
+        except Exception as exc:  # a check that cannot run fails the suite (exit 1)
             return {"check": name, "passed": False, "error": str(exc)}
         return {
             "check": name,
@@ -246,8 +254,8 @@ def cmd_mn(args) -> int:
     seq = moment_prefix(mu, args.N)
     n = np.arange(args.N + 1)
     lo, up = claim1_envelope(mu, n)
-    rows = zip(n.tolist(), seq.values.tolist(), lo.tolist(), up.tolist())
-    _write_output(_csv_text(["n", "m_n", "claim1_lower", "claim1_upper"], rows), args.out)
+    rows = zip(n, seq.values, lo, up)
+    _write_csv(["n", "m_n", "claim1_lower", "claim1_upper"], rows, args.out)
     return EXIT_OK
 
 
@@ -262,7 +270,7 @@ def cmd_kernel_norm(args) -> int:
         else:
             # envelope hypothesis (no atom at 1) fails; emit norm only
             rows.append([float(z), float(args.p), norm, "", ""])
-    _write_output(_csv_text(["abs_z", "p", "norm", "env_lower", "env_upper"], rows), args.out)
+    _write_csv(["abs_z", "p", "norm", "env_lower", "env_upper"], rows, args.out)
     return EXIT_OK
 
 
@@ -270,14 +278,11 @@ def cmd_ratio_scan(args) -> int:
     mu = parse_measure(args.measure)
     q = _parse_exponent(args.q)
     ts = [2.0 ** (-j) for j in range(args.j_start, args.j_stop + 1)]
-    kwargs = {}
-    if args.family == "aligned":
-        kwargs["rule"] = _rule_from(args)  # direct route consumes the rule flags
     results, verdict = tf.ratio_sweep(mu, float(_parse_exponent(args.p)),
                                       float(q) if q != math.inf else math.inf,
-                                      args.family, ts, weak=args.weak, **kwargs)
+                                      args.family, ts, weak=args.weak)
     rows = [[r.param, r.f_norm, r.tf_value, r.ratio, verdict] for r in results]
-    _write_output(_csv_text(["t", "f_norm", "tf_value", "ratio", "verdict"], rows), args.out)
+    _write_csv(["t", "f_norm", "tf_value", "ratio", "verdict"], rows, args.out)
     return EXIT_OK
 
 
@@ -285,7 +290,7 @@ def cmd_region(args) -> int:
     c = _parse_exponent(args.c)
     rows = [[ip, iq, kind, clause]
             for ip, iq, kind, clause in region_grid(c, args.resolution)]
-    _write_output(_csv_text(["inv_p", "inv_q", "verdict", "clause"], rows), args.out)
+    _write_csv(["inv_p", "inv_q", "verdict", "clause"], rows, args.out)
     return EXIT_OK
 
 
@@ -297,8 +302,6 @@ def _add_common(sub, measure: bool = True):
     if measure:
         sub.add_argument("--measure", required=True,
                          help="inline JSON, @file, or shortcut (see module help)")
-    sub.add_argument("--radial-depth", type=int, default=30)
-    sub.add_argument("--angular-nodes", type=int, default=256)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
@@ -356,7 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError, QuadratureError,
+            NonFiniteSampleError, QuadratureNonconvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

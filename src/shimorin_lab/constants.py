@@ -43,9 +43,8 @@ MEASURE_DEPTH_ZERO = 60
 MEASURE_DEPTH_ONE = 40
 MEASURE_ORDER = 16
 
-# Default quadrature tolerances (Cauchy-difference targets).
+# Default quadrature tolerance (Cauchy-difference target).
 TOL_SMOOTH = 1e-8
-TOL_BOUNDARY_SINGULAR = 1e-6
 
 # Relative tolerance target for multiplier moments by quadrature, checked by
 # refinement on a dyadic index grid. The error actually reached is far below

@@ -42,6 +42,8 @@ __all__ = [
 
 # element cap on one sampled block (and on one callback invocation)
 _CHUNK = 1 << 19
+# geometric tau grid of the weak-L^q quasi-norm
+_TAU_POINTS = 200
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -54,17 +56,10 @@ class NonFiniteSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Function on the open disk: vectorized evaluation plus optional derivative.
-
-    ``smoothness`` is "smooth" or "boundary-singular"; the latter makes
-    integrate() deepen the radial grading automatically, scaled by the
-    declared ``singularity_order`` (growth exponent of |f| at the boundary).
-    """
+    """Function on the open disk: vectorized evaluation plus optional derivative."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    smoothness: str = "smooth"
-    singularity_order: float = 0.0
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return self.evaluate(z)
@@ -95,9 +90,6 @@ class TaylorFunction:
     @property
     def degree(self) -> int:
         return self.coefficients.size - 1
-
-    def coeff_array(self) -> np.ndarray:
-        return self.coefficients
 
     def __call__(self, z) -> np.ndarray | complex:
         z = np.asarray(z, dtype=complex)
@@ -158,10 +150,6 @@ class DiskRule:
         return DiskRule.make(self.radial_depth + 5, self.order + 2,
                              2 * self.angular_count)
 
-    def deepened(self, extra_depth: int = 10) -> "DiskRule":
-        return DiskRule.make(self.radial_depth + extra_depth, self.order,
-                             self.angular_count)
-
     @property
     def total_weight(self) -> float:
         return float(self.radial_weights.sum())
@@ -203,7 +191,7 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
             nodes = radii[lo:lo + rows, None] * phase[None, :]
             yield lo, _sample(f, nodes.ravel()).reshape(nodes.shape)
         return
-    c = f.coeff_array()
+    c = f.coefficients
     n = np.arange(c.size)
     rows = max(1, _CHUNK // max(M, c.size))
     # c_n rho^n, zero-padded to whole turns of the circle and folded mod M
@@ -243,12 +231,6 @@ def _radial_sum(f, rule: DiskRule, circle_mean) -> float:
     return total
 
 
-def _effective_rule(f, rule: DiskRule) -> DiskRule:
-    if isinstance(f, SampledFunction) and f.smoothness == "boundary-singular":
-        return rule.deepened(10 + int(4 * max(f.singularity_order, 0.0)))
-    return rule
-
-
 class QuadratureNonconvergence(RuntimeError):
     """Cauchy difference between a rule and its refinement missed the tolerance."""
 
@@ -264,16 +246,13 @@ def integrate(f, rule: DiskRule, check: bool = False) -> complex:
     """Quadrature of f over the disk against normalized area measure.
 
     With ``check=True`` the value is compared against the rule's refinement
-    (the Cauchy difference is the error estimate) at the default tolerance for
-    the function's smoothness hint, raising QuadratureNonconvergence on a miss.
+    (the Cauchy difference is the error estimate) at relative tolerance
+    TOL_SMOOTH, raising QuadratureNonconvergence on a miss.
     """
-    rule = _effective_rule(f, rule)
     value = _plain_integrate(f, rule)
     if check:
         refined = _plain_integrate(f, rule.refined)
         tol = cns.TOL_SMOOTH
-        if isinstance(f, SampledFunction) and f.smoothness == "boundary-singular":
-            tol = cns.TOL_BOUNDARY_SINGULAR
         scale = max(abs(refined), 1e-300)
         if abs(value - refined) > tol * scale:
             raise QuadratureNonconvergence(
@@ -283,13 +262,19 @@ def integrate(f, rule: DiskRule, check: bool = False) -> complex:
     return value
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} is not finite in double precision")
+    return value
+
+
 def lp_norm(f, p: float, rule: DiskRule) -> float:
-    """(integral |f|^p dA)^(1/p) for p >= 1."""
+    """(integral |f|^p dA)^(1/p) for p >= 1; OverflowError when |f|^p overflows."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    rule = _effective_rule(f, rule)
-    total = _radial_sum(f, rule, lambda vals: np.mean(np.abs(vals) ** p, axis=1))
-    return float(total ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = _radial_sum(f, rule, lambda vals: np.mean(np.abs(vals) ** p, axis=1))
+        return _finite(float(total ** (1.0 / p)), f"L^{p} norm")
 
 
 def distribution_function(f, tau: float, rule: DiskRule) -> float:
@@ -299,7 +284,7 @@ def distribution_function(f, tau: float, rule: DiskRule) -> float:
     return float(_radial_sum(f, rule, lambda vals: np.mean(np.abs(vals) > tau, axis=1)))
 
 
-def weak_norm(f, q: float, rule: DiskRule, tau_points: int = 200) -> float:
+def weak_norm(f, q: float, rule: DiskRule) -> float:
     """Weak-L^q quasi-norm sup_tau tau * d_f(tau)^(1/q), tau on a geometric grid.
 
     The grid spans the observed |f| range on the rule's nodes (top point nudged
@@ -323,9 +308,9 @@ def weak_norm(f, q: float, rule: DiskRule, tau_points: int = 200) -> float:
             hi = max(hi, float(pos.max()))
     if hi == 0.0:
         return 0.0
-    taus = np.geomspace(min(lo * 0.999, hi * 0.5), hi * (1.0 - 1e-9), tau_points)
-    bins = tau_points + 1
-    mass = np.zeros(tau_points)
+    taus = np.geomspace(min(lo * 0.999, hi * 0.5), hi * (1.0 - 1e-9), _TAU_POINTS)
+    bins = _TAU_POINTS + 1
+    mass = np.zeros(_TAU_POINTS)
     blocks = held if held is not None else ((w, np.abs(v)) for w, v in _rule_blocks(f, rule))
     for w, a in blocks:
         # per circle: count samples by tau bin, suffix-sum to counts of {|f| > tau_j}
@@ -334,7 +319,7 @@ def weak_norm(f, q: float, rule: DiskRule, tau_points: int = 200) -> float:
         above = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:]
         for row in (w / rule.angular_count)[:, None] * above:
             mass += row
-    return float(np.max(taus * mass ** (1.0 / q)))
+    return _finite(float(np.max(taus * mass ** (1.0 / q))), f"weak-L^{q} norm")
 
 
 def bloch_seminorm(f: SampledFunction, radial_depth: int = 30,

@@ -88,6 +88,10 @@ def _rule_for_gap(mu: RadialMeasure, min_gap: float, order: int = 8):
 # block (256 KB each) stay in a core's L2 cache, where one (pairs x nodes)
 # complex matrix would not.
 _BLOCK = 1 << 15
+# Gauss order per panel of the double-integral route's inner t-integral
+_INNER_ORDER = 12
+# supnorm_sandwich sweeps |z| through 1 - 2^-j, j <= _SWEEP_DEPTH
+_SWEEP_DEPTH = 14
 
 
 def _quadrature_resolvent(mu: RadialMeasure, w: np.ndarray, derivative: bool) -> np.ndarray:
@@ -182,7 +186,7 @@ def eval_dz(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def double_integral_eval(mu: RadialMeasure, z, lam, inner_order: int = 12) -> np.ndarray | complex:
+def double_integral_eval(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
     """Second route: nested quadrature of (1-r)^-1 integral_r^1 (1-tw)^-2 dt d nu(r).
 
     Kept genuinely independent of eval_kernel: the inner t-integral is computed
@@ -209,7 +213,7 @@ def double_integral_eval(mu: RadialMeasure, z, lam, inner_order: int = 12) -> np
             breaks = np.array([0.0, u])
         else:
             breaks = np.concatenate(([0.0], geometric_breaks(vmin, u)))
-        v, g = panel_rule(breaks, inner_order)
+        v, g = panel_rule(breaks, _INNER_ORDER)
         inner = (1.0 / ((1.0 - w)[:, None] + v[None, :] * w[:, None]) ** 2) @ g
         out += (weight / u) * inner
     shape = np.broadcast(z, lam).shape
@@ -310,14 +314,13 @@ def pnorm_envelope(mu: RadialMeasure, z, p: float) -> tuple[float, float]:
     return lower, upper
 
 
-def supnorm_sandwich(mu: RadialMeasure, p: float, sweep_depth: int = 14
-                     ) -> tuple[float, float, float]:
+def supnorm_sandwich(mu: RadialMeasure, p: float) -> tuple[float, float, float]:
     """Radial-sweep surrogate for the sup-norm sandwich, 1 < p < 2:
 
         (1/2) M_p <= max over the sweep of |K(z, .)|_p <= 2/(2-p) M_p,
 
     M_p = integral (1-r)^(2/p-2) d nu (must be finite). The sweep runs |z|
-    through 1 - 2^-j, j <= sweep_depth, and 1 - 1e-4.
+    through 1 - 2^-j, j <= 14, and 1 - 1e-4.
     """
     if not (1.0 < p < 2.0):
         raise ValueError(f"p must lie in (1, 2), got {p}")
@@ -326,7 +329,7 @@ def supnorm_sandwich(mu: RadialMeasure, p: float, sweep_depth: int = 14
     moment = singular_moment(mu, 2.0 - 2.0 / p)
     if not moment.is_finite:
         raise ValueError("integral (1-r)^(2/p-2) d nu diverges; sandwich hypothesis fails")
-    radii = np.concatenate((1.0 - 2.0 ** (-np.arange(sweep_depth + 1, dtype=float)),
+    radii = np.concatenate((1.0 - 2.0 ** (-np.arange(_SWEEP_DEPTH + 1, dtype=float)),
                             [1.0 - 1e-4]))
     best = max(kernel_lp_norm(mu, r, p) for r in radii)
     return best, 0.5 * moment.value, 2.0 / (2.0 - p) * moment.value

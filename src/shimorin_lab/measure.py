@@ -33,12 +33,7 @@ import numpy as np
 from scipy.special import betainc, digamma, gamma, gammaln, zeta
 
 from . import constants as cns
-from ._gridquad import (
-    geometric_breaks,
-    graded_unit_rule,
-    ladder_decision,
-    panel_rule,
-)
+from ._gridquad import geometric_breaks, ladder_decision, panel_rule
 
 __all__ = [
     "Atom",
@@ -267,13 +262,11 @@ class PowerDensity:
                                    1.0 - np.exp(lg - rest) * y ** (-b))
         return self.kappa * one_minus_r / (b * N)
 
-    def u_rule(self, depth_zero: int, depth_one: int, order: int,
-               per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def u_rule(self, umin: float, depth_one: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         # grading toward u = 0 only; the density is smooth at u = 1
-        u, g = graded_unit_rule(depth_zero, 0, order, per_octave)
+        u, g = panel_rule(geometric_breaks(umin, 1.0), order)
         w = g * self.kappa * u ** self.beta
         # analytic sub-mesh tail, carried as a pseudo-atom at its centroid
-        umin = 2.0 ** (-depth_zero)
         tail = self.kappa * umin ** (self.beta + 1.0) / (self.beta + 1.0)
         u_t = umin * (self.beta + 1.0) / (self.beta + 2.0)
         return np.concatenate(([u_t], u)), np.concatenate(([tail], w))
@@ -329,19 +322,17 @@ class NuAlphaDensity:
         y, rest = _stirling_split(np.asarray(n, dtype=float) + 2.0, b)
         return y ** b * np.exp(rest) / gamma(self.alpha)
 
-    def u_rule(self, depth_zero: int, depth_one: int, order: int,
-               per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def u_rule(self, umin: float, depth_one: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         # two pieces: u-panels toward 0 and v = 1-u panels toward 1, so the
         # singular factors u^(1-a) and (1-u)^(a-2) are both evaluated without
         # cancellation; sub-mesh slivers enter as analytic pseudo-atoms
         a = self.alpha
-        u_l, g_l = panel_rule(geometric_breaks(2.0 ** (-depth_zero), 0.5, per_octave), order)
+        u_l, g_l = panel_rule(geometric_breaks(umin, 0.5), order)
         w_l = g_l * np.exp((1.0 - a) * np.log(u_l) + (a - 2.0) * np.log1p(-u_l)
                            - self.lognorm)
-        v_r, g_r = panel_rule(geometric_breaks(2.0 ** (-depth_one), 0.5, per_octave), order)
+        v_r, g_r = panel_rule(geometric_breaks(2.0 ** (-depth_one), 0.5), order)
         w_r = g_r * np.exp((a - 2.0) * np.log(v_r) + (1.0 - a) * np.log1p(-v_r)
                            - self.lognorm)
-        umin = 2.0 ** (-depth_zero)
         dmin = 2.0 ** (-depth_one)
         norm = math.exp(-self.lognorm)
         tail0 = norm * umin ** (2.0 - a) / (2.0 - a)
@@ -402,8 +393,8 @@ class TabulatedDensity:
     def moments(self, n: np.ndarray) -> None:
         return None  # no closed form; the multiplier integrates the grid
 
-    def u_rule(self, depth_zero: int, depth_one: int, order: int,
-               per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def u_rule(self, umin: float, depth_one: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+        # the grid itself, whatever umin: the ladder drops nodes below its cut-off
         r = np.asarray(self.r)
         v = np.asarray(self.values)
         u = (1.0 - r)[::-1]
@@ -417,43 +408,22 @@ class TabulatedDensity:
 
 
 Density = Union[PowerDensity, NuAlphaDensity, TabulatedDensity]
-Component = Union[Atom, Density]
 
 
-def _ladder(density: Density, integrand: Callable[[np.ndarray], np.ndarray],
-            order: int = 16, depth_one: int = 40) -> DivergibleValue:
+def _ladder(density: Density, integrand: Callable[[np.ndarray], np.ndarray]
+            ) -> DivergibleValue:
     """Truncation-ladder verdict for integral integrand(u) d(pushforward)(u).
 
-    Integrates over u in [eps, 1] at the ladder levels with panels graded
-    toward both ends (densities may be singular at u = 1, i.e. r = 0, as well);
-    the integrand itself may only be singular at u = 0.
+    Integrates over u in [eps, 1] at the ladder levels on the density's own
+    u-rule cut off at eps; the sub-mesh pseudo-atom below eps is dropped, so
+    the integrand itself may be singular at u = 0.
     """
     eps = np.array(cns.LADDER_EPS)
     vals = []
     for e in eps:
-        if isinstance(density, TabulatedDensity):
-            u, w = density.u_rule(0, 0, order)
-            keep = u >= e
-            vals.append(float(np.dot(w[keep], integrand(u[keep]))))
-            continue
-        if isinstance(density, PowerDensity):
-            u, g = panel_rule(geometric_breaks(e, 1.0), order)
-            vals.append(float(np.dot(g * density.kappa * u ** density.beta,
-                                     integrand(u))))
-            continue
-        a = density.alpha
-        u_l, g_l = panel_rule(geometric_breaks(e, 0.5), order)
-        w_l = g_l * np.exp((1.0 - a) * np.log(u_l) + (a - 2.0) * np.log1p(-u_l)
-                           - density.lognorm)
-        dmin = 2.0 ** (-depth_one)
-        v_r, g_r = panel_rule(geometric_breaks(dmin, 0.5), order)
-        w_r = g_r * np.exp((a - 2.0) * np.log(v_r) + (1.0 - a) * np.log1p(-v_r)
-                           - density.lognorm)
-        # analytic mass of the unresolved (1-u)^(alpha-2) sliver at u = 1
-        tail = (math.exp(-density.lognorm) * dmin ** (a - 1.0) / (a - 1.0)
-                * float(integrand(np.array([1.0 - dmin * (a - 1.0) / a]))[0]))
-        vals.append(float(np.dot(w_l, integrand(u_l))
-                          + np.dot(w_r, integrand(1.0 - v_r))) + tail)
+        u, w = density.u_rule(e, cns.MEASURE_DEPTH_ONE, cns.MEASURE_ORDER)
+        keep = u >= e
+        vals.append(float(np.dot(w[keep], integrand(u[keep]))))
     divergent, x = ladder_decision(np.array(vals), eps,
                                    cns.LADDER_GROWTH_FACTOR, cns.LADDER_GROWTH_LEVELS)
     return DivergibleValue.divergent(x) if divergent else DivergibleValue.finite(max(x, 0.0))
@@ -569,15 +539,14 @@ class RadialMeasure:
 
     def pushforward_rule(self, depth_zero: int = cns.MEASURE_DEPTH_ZERO,
                          depth_one: int = cns.MEASURE_DEPTH_ONE,
-                         order: int = cns.MEASURE_ORDER,
-                         per_octave: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                         order: int = cns.MEASURE_ORDER) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes/weights in u = 1 - r for the density part only.
 
         Atoms are not included; functionals handle them in closed form.
         """
         us, ws = [], []
         for d in self.densities:
-            u, w = d.u_rule(depth_zero, depth_one, order, per_octave)
+            u, w = d.u_rule(2.0 ** (-depth_zero), depth_one, order)
             us.append(u)
             ws.append(w)
         if not us:
@@ -713,11 +682,10 @@ def carleson_constant(mu: RadialMeasure, a: float) -> DivergibleValue:
                 return DivergibleValue.divergent(a - (2.0 - d.alpha))
     t = 2.0 ** (-np.arange(cns.CARLESON_DEPTH + 1, dtype=float))
     vals = np.array([tail_mass(mu, tj) + mu.mass_at_one for tj in t]) / t ** a
-    k = cns.LADDER_GROWTH_LEVELS
-    tail = vals[-(k + 1):]
-    if np.all(tail[:-1] > 0) and np.all(tail[1:] / tail[:-1] > cns.LADDER_GROWTH_FACTOR):
-        slope = np.polyfit(np.log(1.0 / t[-(k + 1):]), np.log(tail), 1)[0]
-        return DivergibleValue.divergent(max(float(slope), 0.0))
+    divergent, slope = ladder_decision(vals, t, cns.LADDER_GROWTH_FACTOR,
+                                       cns.LADDER_GROWTH_LEVELS)
+    if divergent:
+        return DivergibleValue.divergent(slope)
     return DivergibleValue.finite(max(best, float(vals.max())))
 
 
@@ -745,9 +713,9 @@ def hyperbolic_integral(mu: RadialMeasure) -> DivergibleValue:
     def for_power(d: PowerDensity) -> DivergibleValue:
         if d.beta <= 0.0:
             return DivergibleValue.divergent(-d.beta)
-        u, g = graded_unit_rule(cns.MEASURE_DEPTH_ZERO, 0, cns.MEASURE_ORDER)
-        val = float(np.dot(g * d.kappa * u ** (d.beta - 1.0), 1.0 / (2.0 - u)))
         umin = 2.0 ** (-cns.MEASURE_DEPTH_ZERO)
+        u, g = panel_rule(geometric_breaks(umin, 1.0), cns.MEASURE_ORDER)
+        val = float(np.dot(g * d.kappa * u ** (d.beta - 1.0), 1.0 / (2.0 - u)))
         val += d.kappa * umin ** d.beta / (2.0 * d.beta)
         return DivergibleValue.finite(val)
 

@@ -124,7 +124,6 @@ class MultiplierSequence:
 
     measure: RadialMeasure
     values: np.ndarray
-    quadrature_budget: float
 
     def __post_init__(self):
         m = self.values
@@ -209,7 +208,7 @@ def moment(mu: RadialMeasure, n: int, *, check: bool = True) -> float:
 
 @lru_cache(maxsize=64)
 def _cached_prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:
-    return MultiplierSequence(mu, _moments(mu, np.arange(N + 1)), cns.MOMENT_BUDGET)
+    return MultiplierSequence(mu, _moments(mu, np.arange(N + 1)))
 
 
 def moment_prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:

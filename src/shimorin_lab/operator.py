@@ -32,11 +32,17 @@ __all__ = [
     "HypothesisViolation",
 ]
 
+# inner rule of the radial route: Gauss order per panel, equal panels on [0, 1]
+_INNER_ORDER = 12
+_INNER_PANELS = 8
+# largest in-block ratio a block-comparable coefficient sequence may have
+_BLOCK_CONSTANT = 16.0
+
 
 def apply_multiplier(mu: RadialMeasure, f: TaylorFunction) -> TaylorFunction:
     """Coefficient route: a_n -> m_n a_n."""
     m = moment_prefix(mu, f.degree).values
-    return TaylorFunction.from_array(m * f.coeff_array())
+    return TaylorFunction.from_array(m * f.coefficients)
 
 
 def apply_quadrature(mu: RadialMeasure, f, z, rule: DiskRule) -> complex:
@@ -54,8 +60,7 @@ def apply_quadrature(mu: RadialMeasure, f, z, rule: DiskRule) -> complex:
     return complex(total)
 
 
-def apply_radial(mu: RadialMeasure, f, z, inner_order: int = 12,
-                 inner_panels: int = 8) -> complex:
+def apply_radial(mu: RadialMeasure, f, z) -> complex:
     """Radial route for analytic f: nested 1-D quadrature of the gap-averaged dilates.
 
     Inner integral (1/u) integral over t in [1-u, 1] of f(t z) via composite
@@ -67,8 +72,8 @@ def apply_radial(mu: RadialMeasure, f, z, inner_order: int = 12,
     u_outer, w_outer = mu.pushforward_rule()
     u = np.concatenate((u_outer, [1.0 - a.x for a in mu.atoms]))
     wt = np.concatenate((w_outer, [a.mass for a in mu.atoms]))
-    x, gw = gauss_rule(inner_order)
-    edges = np.linspace(0.0, 1.0, inner_panels + 1)
+    x, gw = gauss_rule(_INNER_ORDER)
+    edges = np.linspace(0.0, 1.0, _INNER_PANELS + 1)
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
     s = (mid[:, None] + half[:, None] * x[None, :]).ravel()   # composite nodes on [0, 1]
@@ -90,8 +95,7 @@ def _blocks(N: int):
         k += 1
 
 
-def bergman_membership(a, p: float, N: int | None = None,
-                       block_constant: float = 16.0) -> tuple[float, str]:
+def bergman_membership(a, p: float, N: int | None = None) -> tuple[float, str]:
     """Partial sum of sum (n+1)^(p-3) a_n^p plus a dyadic-block growth verdict.
 
     ``a`` is a non-negative coefficient array (or callable n -> a_n with N
@@ -121,9 +125,9 @@ def bergman_membership(a, p: float, N: int | None = None,
             if not (np.all(db >= 0.0) or np.all(db <= 0.0)):
                 raise HypothesisViolation(f"block [{blk[0]}, {blk[-1]}] not monotone")
             pos = sub[sub > 0.0]
-            if pos.size and pos.max() > block_constant * pos.min():
+            if pos.size and pos.max() > _BLOCK_CONSTANT * pos.min():
                 raise HypothesisViolation(
-                    f"block [{blk[0]}, {blk[-1]}] ratio exceeds {block_constant}")
+                    f"block [{blk[0]}, {blk[-1]}] ratio exceeds {_BLOCK_CONSTANT}")
     n = np.arange(N + 1)
     terms = (n + 1.0) ** (p - 3.0) * a ** p
     # complete blocks [2^k, 2^(k+1)) only

@@ -357,14 +357,14 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
             if q == math.inf:
                 raise ValueError("Bloch target is only wired to the series route")
             if rule is None:
-                rule = DiskRule.make(radial_depth=16, order=8, angular_count=512)
+                rule = DiskRule.make()
         else:
             tf, rule = indicator_response(mu, param), _series_rule(param)
     elif family in ("power", "block"):
         f = power_testfn(param, n_terms) if family == "power" else \
             block_testfn(mu, param, n_terms)
         m = moment_prefix(mu, f.degree).values
-        tf, rule = TaylorFunction.from_array(m * f.coeff_array()), _series_rule()
+        tf, rule = TaylorFunction.from_array(m * f.coefficients), _series_rule()
         f_norm = lp_norm(f, p, rule)
     else:
         raise ValueError(f"unknown family {family!r}")

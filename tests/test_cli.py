@@ -1,20 +1,30 @@
 """CLI surface: subcommands, measure parsing, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import resource
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shimorin_lab.cli import EXIT_CONFIG, EXIT_OK, main, parse_measure
+from shimorin_lab import kernel as kr
+from shimorin_lab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main, parse_measure
 from shimorin_lab.measure import total_mass
 from shimorin_lab.multiplier import claim1_envelope, moment_prefix
 
 
-def run_cli(*args):
+def run_cli(*args, max_address_space=None):
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (max_address_space, max_address_space))
+
     proc = subprocess.run([sys.executable, "-m", "shimorin_lab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          preexec_fn=cap if max_address_space else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -143,6 +153,28 @@ class TestVerify:
             if has_density:
                 assert checks["mn-routes"]["passed"] is True
 
+    def test_check_that_raises_fails_the_suite(self, capsys, monkeypatch):
+        def cannot_run(*args, **kwargs):
+            raise RuntimeError("cannot run")
+
+        monkeypatch.setattr(kr, "hermitian_report", cannot_run)
+        assert main(["verify", "--measure", "delta1", "--suite", "kernel"]) == EXIT_VIOLATION
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        assert report["checks"][0] == {"check": "hermitian", "passed": False,
+                                       "error": "cannot run"}
+        assert all(c["passed"] for c in report["checks"][1:])
+
+    def test_claim1_upper_allows_rounding(self, capsys):
+        # N u >= 1 on every node from n = 99 on: m_n and I_n are the same sum in
+        # another order, and m_n once came out above I_n by 1.7e-16 relative
+        spec = json.dumps({"densities": [{"kind": "tabulated", "r": [0, 0.25, 0.5, 0.75, 0.99],
+                                          "values": [1, 1.2, 1.5, 2, 3]}]})
+        assert main(["verify", "--suite", "multiplier", "--measure", spec]) == EXIT_OK
+        checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        upper = checks["claim1-envelope"]["bounds"][1]
+        assert upper["name"] == "claim1-upper" and upper["worst_margin"] == 0.0
+
     def test_help_exits_zero(self):
         code, out, _ = run_cli("--help")
         assert code == 0 and "shimorin-lab" in out
@@ -165,3 +197,87 @@ class TestDeterminism:
         main(["mn", "--measure", "lebesgue", "--N", "2"])
         row = capsys.readouterr().out.splitlines()[2]
         assert row.split(",")[1] == "0.75"
+
+
+# -- generated front-door inputs -------------------------------------------
+
+_junk = st.sampled_from(["abc", None, [], -1.0, 0.0, 2.5])
+
+
+def _mostly(valid):
+    """Usually a valid value, sometimes one that is out of range or not a number."""
+    return st.one_of(valid, valid, valid, _junk)
+
+
+_unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_kappa, _beta, _alpha = st.floats(0.1, 3.0), st.floats(-0.99, 2.0), st.floats(1.01, 1.99)
+_grid = st.lists(_unit, min_size=2, max_size=6, unique=True).map(sorted).flatmap(
+    lambda r: st.fixed_dictionaries({
+        "kind": st.just("tabulated"), "r": st.just(r),
+        "values": st.lists(st.floats(0.0, 5.0), min_size=len(r), max_size=len(r))}))
+_density = st.one_of(
+    _grid,
+    st.fixed_dictionaries({"kind": st.just("power"), "kappa": _mostly(_kappa),
+                           "beta": _mostly(_beta)}),
+    st.fixed_dictionaries({"kind": st.just("nu_alpha"), "alpha": _mostly(_alpha)}),
+    st.sampled_from([{"kind": "lebesgue"}, {"kind": "gaussian"}, {},
+                     {"kind": "power", "kappa": 1.0}, {"kind": "tabulated", "r": [0, 1]}]))
+_atom = st.one_of(
+    st.fixed_dictionaries({"x": _mostly(_unit), "mass": _mostly(st.floats(0.01, 5.0))}),
+    st.sampled_from([{"x": 0.5}, {"mass": 1.0}, {"x": "0.5", "mass": "1"}]))
+_json_spec = st.one_of(
+    st.fixed_dictionaries({"densities": st.lists(_density, min_size=1, max_size=2)},
+                          optional={"atoms": st.lists(_atom, max_size=3)}),
+    st.fixed_dictionaries({"atoms": st.lists(_atom, max_size=3)}),
+).map(json.dumps)
+_shortcut = st.one_of(
+    st.sampled_from(["delta0", "delta1", "lebesgue", "gaussian", "atom:1,2", "atom:0,1"]),
+    st.builds("nu_alpha:{}".format, _mostly(_alpha)),
+    st.builds("power:{},{}".format, _mostly(_kappa), _mostly(_beta)),
+    st.builds("atom:{},{}".format, _unit, _mostly(st.floats(0.01, 5.0))))
+_measure = st.one_of(_json_spec, st.lists(_shortcut, min_size=1, max_size=3).map("+".join))
+_exponent = st.sampled_from(["1", "4/3", "1.5", "2", "3", "inf", "0.5", "abc"])
+_argv = st.one_of(
+    st.tuples(_measure, _exponent, _exponent).map(
+        lambda a: ["classify", "--measure", a[0], "--p", a[1], "--q", a[2]]),
+    st.tuples(_measure, st.integers(0, 64)).map(
+        lambda a: ["mn", "--measure", a[0], "--N", str(a[1])]),
+    st.tuples(st.sampled_from(["1", "4/3", "1.5", "2", "3", "0", "x"]),
+              st.one_of(st.integers(8, 16), st.integers(-1, 7))).map(
+        lambda a: ["region", "--c", a[0], "--resolution", str(a[1])]),
+    st.tuples(_measure, st.lists(st.floats(0.0, 0.9), min_size=1, max_size=2),
+              _mostly(st.floats(1.0, 4.0))).map(
+        lambda a: ["kernel-norm", "--measure", a[0], "--p", str(a[2]),
+                   "--z", *map(repr, a[1])]))
+
+
+class TestFrontDoor:
+    def test_memory_error_exits_2_and_writes_nothing(self, tmp_path):
+        # 8e11 bytes of indices; the address-space cap makes the allocation
+        # fail on any overcommit policy instead of paging
+        path = tmp_path / "mn.csv"
+        code, out, err = run_cli("mn", "--measure", "lebesgue", "--N", "100000000000",
+                                 "--out", str(path), max_address_space=4 << 30)
+        assert code == EXIT_CONFIG and out == "" and not path.exists()
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_overflowing_norm_exits_2(self):
+        code, out, err = run_cli("ratio-scan", "--measure", "atom:0.5,1e305", "--p", "2",
+                                 "--q", "2", "--j-start", "3", "--j-stop", "4")
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @given(_argv)
+    @settings(max_examples=150, deadline=None)
+    def test_generated_requests_exit_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, by_argparse = main(argv), False
+            except SystemExit as exc:  # argparse rejects a flag value: usage, exit 2
+                code, by_argparse = exc.code, True
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            lines = err.getvalue().splitlines()
+            assert out.getvalue() == ""
+            assert by_argparse or (len(lines) == 1 and lines[0].startswith("error: "))

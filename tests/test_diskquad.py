@@ -102,6 +102,17 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(SampledFunction.constant(1.0), 0.5, rule)
 
+    def test_overflow_raises_without_warning(self, rule):
+        # |f|^2 overflows double precision; the norm raises rather than
+        # returning inf (the package's RuntimeWarnings are errors in the suite)
+        big = SampledFunction.constant(1e300)
+        with pytest.raises(OverflowError):
+            lp_norm(big, 2.0, rule)
+        big_poly = TaylorFunction.from_array([1e300, 1e300])
+        with pytest.raises(OverflowError):
+            lp_norm(big_poly, 2.0, rule)
+        assert weak_norm(big, 2.0, rule) == pytest.approx(1e300, rel=1e-6)
+
 
 class TestDistribution:
     def test_constant_steps(self, rule):
@@ -134,7 +145,7 @@ class TestWeakNorm:
     def test_singular_regression(self, rule):
         # |1-z|^-1 is weak-L^2 but not L^2; node-counting values recorded as a
         # self-regression (first-run values on the default rule)
-        f = SampledFunction(lambda z: 1.0 / np.abs(1.0 - z), smoothness="smooth")
+        f = SampledFunction(lambda z: 1.0 / np.abs(1.0 - z))
         wk = weak_norm(f, 2.0, rule)
         st = lp_norm(f, 2.0, rule)
         assert wk <= st

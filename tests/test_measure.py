@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import beta as beta_fn
+from scipy.special import hyp2f1
 
 from shimorin_lab.measure import (
     Atom,
+    NuAlphaDensity,
     PowerDensity,
     RadialMeasure,
     TabulatedDensity,
@@ -129,6 +132,40 @@ class TestSingularMoment:
             if gap.is_finite:
                 ratio = gap.value / disk.value
                 assert 1.0 - 1e-9 <= ratio <= 2.0 ** s + 1e-9
+
+
+class TestURule:
+    """The one u-rule per density serves the moments and the truncation ladder."""
+
+    @pytest.mark.parametrize("density", [PowerDensity(2.0, -0.5), PowerDensity(1.0, 0.7),
+                                         NuAlphaDensity(1.3), NuAlphaDensity(1.9)])
+    def test_below_the_cut_off_sits_only_the_tail_atom(self, density):
+        # the ladder keeps u >= eps, so it drops the analytic sub-mesh tail
+        # (the first-order tail for nu_alpha) and nothing else
+        for eps in (1e-2, 1e-7, 2.0 ** -60):
+            u, w = density.u_rule(eps, 40, 16)
+            below = u < eps
+            assert below.sum() == 1 and u.min() > 0.0
+            assert w[below][0] == pytest.approx(density.tail(eps), rel=2 * eps + 1e-12)
+
+    @pytest.mark.parametrize("kappa, b, s", [(1.0, 0.5, 0.3), (2.0, -0.5, 0.25),
+                                             (1.0, 0.0, 0.9), (1.5, 1.2, 0.5)])
+    def test_power_disk_moment_oracle(self, kappa, b, s):
+        # kappa 2^-s / e 2F1(s, e; e + 1; 1/2), e = beta - s + 1
+        v = singular_moment(RadialMeasure.power(kappa, b), s, "disk")
+        e = b - s + 1.0
+        assert v.is_finite
+        assert v.value == pytest.approx(kappa * 2.0 ** -s / e * hyp2f1(s, e, e + 1.0, 0.5),
+                                        rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, s", [(1.5, 0.3), (1.3, 0.5), (1.7, 0.1)])
+    def test_nu_alpha_disk_moment_oracle(self, alpha, s):
+        # 2^-s B(c, d) 2F1(s, c; c + d; 1/2) / B(alpha - 1, 2 - alpha), c = 2 - alpha - s
+        v = singular_moment(RadialMeasure.nu_alpha(alpha), s, "disk")
+        c, d = 2.0 - alpha - s, alpha - 1.0
+        expect = (2.0 ** -s * beta_fn(c, d) * hyp2f1(s, c, c + d, 0.5)
+                  / beta_fn(alpha - 1.0, 2.0 - alpha))
+        assert v.is_finite and v.value == pytest.approx(expect, rel=1e-9)
 
 
 class TestCriticalIndex:

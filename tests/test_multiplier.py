@@ -177,7 +177,7 @@ class TestMomentPrefix:
 
     def test_monotone_invariant_enforced(self, cat):
         with pytest.raises(ValueError):
-            MultiplierSequence(cat["delta0"], np.array([1.0, 0.6, 0.7]), 1e-10)
+            MultiplierSequence(cat["delta0"], np.array([1.0, 0.6, 0.7]))
 
     def test_m0_is_mass(self, rng):
         for _ in range(10):

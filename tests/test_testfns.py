@@ -117,25 +117,25 @@ class TestAligned:
 class TestPowerAndBlock:
     def test_power_is_geometric_family(self):
         f = power_testfn(0.0, 64)
-        assert np.all(f.coeff_array() == 1.0)
+        assert np.all(f.coefficients == 1.0)
         g = power_testfn(-1.0, 64)
-        assert g.coeff_array()[3] == pytest.approx(0.25)
+        assert g.coefficients[3] == pytest.approx(0.25)
 
     def test_power_membership(self):
         # exponent below 2/p - 1 gives membership at p = 1.5
         f = power_testfn(0.2, 10000)
-        _, verdict = bergman_membership(f.coeff_array().real, 1.5)
+        _, verdict = bergman_membership(f.coefficients.real, 1.5)
         assert verdict == "plateaued"
 
     def test_block_reduces_to_power_for_delta1(self, cat):
         f = block_testfn(cat["delta1"], 0.3, 512)
         g = power_testfn(0.3, 512)
-        assert np.allclose(f.coeff_array(), g.coeff_array())
+        assert np.allclose(f.coefficients, g.coefficients)
 
     def test_block_ratio_bound(self, cat):
         t_exp = 0.4
         f = block_testfn(cat["lebesgue"], t_exp, 2**15)
-        a = f.coeff_array().real
+        a = f.coefficients.real
         for k in range(14):
             blk = a[2**k: 2**(k + 1)]
             assert blk.max() <= 2.0 ** (t_exp + 1.0) * blk.min() * (1 + 1e-12)
@@ -146,7 +146,7 @@ class TestPowerAndBlock:
         t_exp = 0.25
         N = 1024
         f = block_testfn(mu, t_exp, N)
-        tf = apply_multiplier(mu, f).coeff_array().real
+        tf = apply_multiplier(mu, f).coefficients.real
         m = moment_prefix(mu, N).values
         n = np.arange(N + 1)
         for k in range(11):
@@ -199,7 +199,7 @@ class TestIndicatorResponse:
         mu = cat["lebesgue"]
         for t in (0.25, 0.125):
             tf = indicator_response(mu, t)
-            c = tf.coeff_array().real
+            c = tf.coefficients.real
             k = np.arange(1, c.size + 1, dtype=float)
             l2 = math.sqrt(np.sum(c * c / k))
             sq = np.fft.irfft(np.fft.rfft(c, 2 * c.size) ** 2, 2 * c.size)[: 2 * c.size - 1]
