@@ -254,8 +254,10 @@ def cmd_mn(args) -> int:
     seq = moment_prefix(mu, args.N)
     n = np.arange(args.N + 1)
     lo, up = claim1_envelope(mu, n)
-    rows = zip(n, seq.values, lo, up)
-    _write_csv(["n", "m_n", "claim1_lower", "claim1_upper"], rows, args.out)
+    # N + 1 rows: one %-format per row, the bytes _write_csv would give
+    with _open_out(args.out) as fh:
+        fh.write("n,m_n,claim1_lower,claim1_upper\n")
+        fh.writelines("%d,%.17g,%.17g,%.17g\n" % row for row in zip(n, seq.values, lo, up))
     return EXIT_OK
 
 
@@ -264,11 +266,11 @@ def cmd_kernel_norm(args) -> int:
     rows = []
     for z in args.z:
         norm = kr.kernel_lp_norm(mu, z, args.p)
-        if mu.mass_at_one == 0.0:
+        if mu.mass_at_one == 0.0 and args.p > 1.0:
             lo, up = kr.pnorm_envelope(mu, z, args.p)
             rows.append([float(z), float(args.p), norm, lo, up])
         else:
-            # envelope hypothesis (no atom at 1) fails; emit norm only
+            # envelope hypotheses (no atom at 1, p > 1) fail; emit norm only
             rows.append([float(z), float(args.p), norm, "", ""])
     _write_csv(["abs_z", "p", "norm", "env_lower", "env_upper"], rows, args.out)
     return EXIT_OK

@@ -7,13 +7,18 @@ integrates to 1. Besides plain integrals and L^p norms this module supplies
 the weak-L^q quasi-norm via the distribution function and the Bloch seminorm
 |f(0)| + sup (1 - |z|^2) |f'(z)| on a boundary-refining grid.
 
-Every norm reads its function through one polar-grid sampler, which yields
-blocks of radii with the function's values on the M-point circle of each.
-A TaylorFunction is summed by FFT: its coefficients scaled by rho^n and folded
-mod M are the circle's discrete Fourier coefficients, so a polynomial of
-degree N costs O(N + M log M) per radius whatever N is relative to M. Any
-other callable is evaluated at the nodes rho e^(2 pi i k / M). The reducers
-accumulate radius by radius: the radial weight times the mean over the circle.
+Every norm reads only |f|, through one polar-grid sampler, which yields
+blocks of radii with |f| on the M-point circle of each. A TaylorFunction is
+summed by FFT: its coefficients scaled by rho^n and folded mod M are the
+circle's discrete Fourier coefficients. The coefficients are folded once per
+function into a J x M array C (J = ceil((N+1)/M)), so on the circle of radius
+rho the folded coefficient k is rho^k sum_j C[j, k] rho^(jM): each radius
+costs M exponentials, a length-J product and one FFT, whatever the degree N.
+Real coefficients take a real FFT of the upper half circle, and conjugate
+symmetry, f(rho e^(-i theta)) = conj f(rho e^(i theta)), fills the lower half;
+complex ones take an inverse FFT. Any other callable is evaluated at the
+nodes rho e^(2 pi i k / M). The reducers accumulate radius by radius: the
+radial weight times the mean over the circle.
 """
 
 from __future__ import annotations
@@ -96,7 +101,8 @@ class TaylorFunction:
         c = self.coefficients
         out = np.full(z.shape, c[-1], dtype=complex)
         for a in c[-2::-1]:
-            out = out * z + a
+            out *= z
+            out += a
         return complex(out) if out.ndim == 0 else out
 
     def derivative(self) -> "TaylorFunction":
@@ -183,50 +189,64 @@ def _sample(f, nodes: np.ndarray) -> np.ndarray:
 
 
 def _circle_blocks(f, radii: np.ndarray, M: int):
-    """Yield (lo, vals): vals[k] holds f on the M-point circle of radius radii[lo + k]."""
+    """Yield (lo, mods): mods[k] holds |f| on the M-point circle of radius radii[lo + k]."""
     phase = _circle(M)
+    rows = max(1, _CHUNK // M)
     if not isinstance(f, TaylorFunction):
-        rows = max(1, _CHUNK // M)
         for lo in range(0, radii.size, rows):
             nodes = radii[lo:lo + rows, None] * phase[None, :]
-            yield lo, _sample(f, nodes.ravel()).reshape(nodes.shape)
+            yield lo, np.abs(_sample(f, nodes.ravel())).reshape(nodes.shape)
         return
     c = f.coefficients
-    n = np.arange(c.size)
-    rows = max(1, _CHUNK // max(M, c.size))
-    # c_n rho^n, zero-padded to whole turns of the circle and folded mod M
-    scaled = np.zeros(c.size + (-c.size) % M, dtype=complex)
+    real = not c.imag.any()
+    # coefficient n = j M + k at C[j, k], zero-padded to whole turns of the circle
+    J = -(-c.size // M)
+    C = np.zeros(J * M, dtype=float if real else complex)
+    C[:c.size] = c.real if real else c
+    C = C.reshape(J, M)
+    k_pow = np.arange(M, dtype=float)
+    turn_pow = M * np.arange(J, dtype=float)
+    tail = (M - 1) // 2
     for lo in range(0, radii.size, rows):
         block = radii[lo:lo + rows]
-        vals = np.empty((block.size, M), dtype=complex)
+        mods = np.empty((block.size, M))
         # rho^n underflows harmlessly; an overflow is reported below
         with np.errstate(all="ignore"):
-            for k, rho in enumerate(block):
+            for i, rho in enumerate(block):
                 if rho > 0:
                     # scalar math.log: np.log on an array can differ in the last ulp
-                    np.multiply(c, np.exp(n * math.log(rho)), out=scaled[:c.size])
+                    log_rho = math.log(rho)
+                    # folded bin k: rho^k sum_j C[j, k] rho^(jM)
+                    bins = np.exp(turn_pow * log_rho) @ C
+                    bins *= np.exp(k_pow * log_rho)
                 else:
-                    scaled[:c.size] = 0.0
-                    scaled[0] = c[0]
-                vals[k] = np.fft.ifft(scaled.reshape(-1, M).sum(axis=0)) * M
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            k, j = np.unravel_index(np.argmax(bad), bad.shape)
+                    bins = np.zeros(M, dtype=C.dtype)
+                    bins[0] = C[0, 0]
+                if real:
+                    # real bins: f = M ifft = conj rfft on the upper half circle;
+                    # f(rho e^(-i theta)) = conj f(rho e^(i theta)) on the lower
+                    half = np.abs(np.fft.rfft(bins))
+                    mods[i, :half.size] = half
+                    mods[i, half.size:] = half[tail:0:-1]
+                else:
+                    mods[i] = np.abs(np.fft.ifft(bins) * M)
+        if not np.isfinite(mods).all():
+            k, j = np.unravel_index(np.argmax(~np.isfinite(mods)), mods.shape)
             raise NonFiniteSampleError(complex(block[k] * phase[j]))
-        yield lo, vals
+        yield lo, mods
 
 
 def _rule_blocks(f, rule: DiskRule):
-    """Yield (radial weights, values on their circles) blocks covering the rule."""
-    for lo, vals in _circle_blocks(f, rule.radial_nodes, rule.angular_count):
-        yield rule.radial_weights[lo:lo + len(vals)], vals
+    """Yield (radial weights, |f| on their circles) blocks covering the rule."""
+    for lo, mods in _circle_blocks(f, rule.radial_nodes, rule.angular_count):
+        yield rule.radial_weights[lo:lo + len(mods)], mods
 
 
 def _radial_sum(f, rule: DiskRule, circle_mean) -> float:
-    """Sum over radii of weight x circle_mean(values), added radius by radius."""
+    """Sum over radii of weight x circle_mean(|f|), added radius by radius."""
     total = 0.0
-    for w, vals in _rule_blocks(f, rule):
-        for term in w * circle_mean(vals):
+    for w, mods in _rule_blocks(f, rule):
+        for term in w * circle_mean(mods):
             total += term
     return total
 
@@ -273,7 +293,7 @@ def lp_norm(f, p: float, rule: DiskRule) -> float:
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     with np.errstate(over="ignore"):
-        total = _radial_sum(f, rule, lambda vals: np.mean(np.abs(vals) ** p, axis=1))
+        total = _radial_sum(f, rule, lambda a: np.mean(a ** p, axis=1))
         return _finite(float(total ** (1.0 / p)), f"L^{p} norm")
 
 
@@ -281,7 +301,7 @@ def distribution_function(f, tau: float, rule: DiskRule) -> float:
     """Normalized area of the superlevel set {|f| > tau}."""
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    return float(_radial_sum(f, rule, lambda vals: np.mean(np.abs(vals) > tau, axis=1)))
+    return float(_radial_sum(f, rule, lambda a: np.mean(a > tau, axis=1)))
 
 
 def weak_norm(f, q: float, rule: DiskRule) -> float:
@@ -298,20 +318,17 @@ def weak_norm(f, q: float, rule: DiskRule) -> float:
     # t = 2^-10 in the ratio sweeps)
     held = None if isinstance(f, TaylorFunction) else []
     lo, hi = np.inf, 0.0
-    for w, vals in _rule_blocks(f, rule):
-        a = np.abs(vals)
+    for w, a in _rule_blocks(f, rule):
         if held is not None:
             held.append((w, a))
-        pos = a[a > 0.0]
-        if pos.size:
-            lo = min(lo, float(pos.min()))
-            hi = max(hi, float(pos.max()))
+        lo = min(lo, float(a.min(where=a > 0.0, initial=np.inf)))
+        hi = max(hi, float(a.max()))
     if hi == 0.0:
         return 0.0
     taus = np.geomspace(min(lo * 0.999, hi * 0.5), hi * (1.0 - 1e-9), _TAU_POINTS)
     bins = _TAU_POINTS + 1
     mass = np.zeros(_TAU_POINTS)
-    blocks = held if held is not None else ((w, np.abs(v)) for w, v in _rule_blocks(f, rule))
+    blocks = held if held is not None else _rule_blocks(f, rule)
     for w, a in blocks:
         # per circle: count samples by tau bin, suffix-sum to counts of {|f| > tau_j}
         idx = np.searchsorted(taus, a, side="left") + bins * np.arange(len(a))[:, None]
@@ -329,8 +346,8 @@ def bloch_seminorm(f: SampledFunction, radial_depth: int = 30,
         raise ValueError("bloch_seminorm needs a derivative callback")
     radii = 1.0 - 2.0 ** (-np.arange(radial_depth + 1, dtype=float))
     best = 0.0
-    for lo, vals in _circle_blocks(f.derivative, radii, angular_count):
-        rho = radii[lo:lo + len(vals)]
-        best = max(best, float(np.max((1.0 - rho * rho) * np.abs(vals).max(axis=1))))
+    for lo, mods in _circle_blocks(f.derivative, radii, angular_count):
+        rho = radii[lo:lo + len(mods)]
+        best = max(best, float(np.max((1.0 - rho * rho) * mods.max(axis=1))))
     _, center = next(_circle_blocks(f.evaluate, np.zeros(1), 1))
-    return abs(complex(center[0, 0])) + best
+    return float(center[0, 0]) + best

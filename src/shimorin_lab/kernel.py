@@ -251,23 +251,30 @@ def kernel_lp_norm(mu: RadialMeasure, z, p: float, rule=None) -> float:
 
     With ``rule=None`` (default) a boundary-graded polar rule adapted to |z| is
     used; passing a diskquad.DiskRule evaluates on that rule instead (adequate
-    only for moderate |z|, kept for cross-checking).
+    only for moderate |z|, kept for cross-checking). Raises OverflowError
+    when the norm is not finite in double precision.
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     s = float(np.abs(z))
     if s >= 1.0:
         raise ValueError("z must lie in the open disk")
-    if rule is not None:
-        total = 0.0
-        for nodes, weights in rule.iter_blocks():
-            vals = np.abs(eval_kernel(mu, np.full(nodes.shape, s, dtype=complex), nodes))
-            total += np.dot(weights, vals ** p)
-        return float(total ** (1.0 / p))
-    rho, w_rho, theta, w_theta = _graded_polar(s)
-    w = s * rho[:, None] * np.exp(-1j * theta)[None, :]
-    vals = np.abs(_resolvent(mu, w) / (1.0 - w)) ** p
-    return float((w_rho @ vals @ w_theta) ** (1.0 / p))
+    # |K|^p may overflow; a non-finite norm raises below instead of warning
+    with np.errstate(over="ignore"):
+        if rule is not None:
+            total = 0.0
+            for nodes, weights in rule.iter_blocks():
+                vals = np.abs(eval_kernel(mu, np.full(nodes.shape, s, dtype=complex), nodes))
+                total += np.dot(weights, vals ** p)
+        else:
+            rho, w_rho, theta, w_theta = _graded_polar(s)
+            w = s * rho[:, None] * np.exp(-1j * theta)[None, :]
+            vals = np.abs(_resolvent(mu, w) / (1.0 - w)) ** p
+            total = w_rho @ vals @ w_theta
+        norm = float(total ** (1.0 / p))
+    if not np.isfinite(norm):
+        raise OverflowError(f"kernel L^{p} norm is not finite in double precision")
+    return norm
 
 
 def pnorm_envelope(mu: RadialMeasure, z, p: float) -> tuple[float, float]:

@@ -94,6 +94,12 @@ class TestEmitters:
         _, _, norm, lo, up = out[1].split(",")
         assert float(lo) <= float(norm) <= float(up)
 
+    def test_kernel_norm_p1_emits_norm_only(self, capsys):
+        # the envelope needs p > 1; the p = 1 norm is printed without it
+        assert main(["kernel-norm", "--measure", "lebesgue", "--z", "0.5", "--p", "1"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"0.5,1,{kr.kernel_lp_norm(parse_measure('lebesgue'), 0.5, 1.0):.17g},,"
+
     def test_region_c2_geometry(self, capsys):
         main(["region", "--c", "2", "--resolution", "8"])
         rows = capsys.readouterr().out.splitlines()[1:]
@@ -262,10 +268,13 @@ class TestFrontDoor:
         assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_overflowing_norm_exits_2(self):
-        code, out, err = run_cli("ratio-scan", "--measure", "atom:0.5,1e305", "--p", "2",
-                                 "--q", "2", "--j-start", "3", "--j-stop", "4")
-        assert code == EXIT_CONFIG and out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        for argv in (("ratio-scan", "--measure", "atom:0.5,1e305", "--p", "2", "--q", "2",
+                      "--j-start", "3", "--j-stop", "4"),
+                     ("kernel-norm", "--measure", "atom:0.999999,1e300", "--z", "0.9",
+                      "--p", "2")):
+            code, out, err = run_cli(*argv)
+            assert code == EXIT_CONFIG and out == ""
+            assert err.count("\n") == 1 and err.startswith("error: ")
 
     @given(_argv)
     @settings(max_examples=150, deadline=None)

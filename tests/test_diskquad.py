@@ -9,6 +9,7 @@ from shimorin_lab.diskquad import (
     QuadratureNonconvergence,
     SampledFunction,
     TaylorFunction,
+    _circle_blocks,
     bloch_seminorm,
     distribution_function,
     integrate,
@@ -171,30 +172,49 @@ class TestBloch:
 
 
 class TestPolynomialSampler:
-    """A TaylorFunction is sampled by FFT; any other callable at the nodes."""
+    """A TaylorFunction is sampled by FFT (rfft for real coefficients); any
+    other callable at the nodes. The sampler yields |f|."""
 
-    @pytest.fixture(scope="class")
-    def poly(self):
-        # degree 100 on 16 angles: the coefficient fold wraps six times
-        n = np.arange(101)
-        return TaylorFunction.from_array(0.97 ** n * np.exp(1j * n))
-
-    def test_fft_branch_matches_node_evaluation(self, poly):
-        rule = DiskRule.make(radial_depth=20, order=8, angular_count=16)
+    @staticmethod
+    def assert_matches_node_evaluation(poly, M):
+        rule = DiskRule.make(radial_depth=20, order=8, angular_count=M)
         plain = poly.__call__  # a bound method is not a TaylorFunction
+        # the sampled |f| itself, circle by circle
+        rho = rule.radial_nodes
+        fft = np.concatenate([a for _, a in _circle_blocks(poly, rho, M)])
+        nodes = np.abs(plain(rho[:, None] * np.exp(2j * np.pi * np.arange(M) / M)[None, :]))
+        assert np.all(np.abs(fft - nodes).max(axis=1) <= 1e-13 * nodes.max(axis=1))
         for p in (1.0, 2.0, 4.0):
             assert lp_norm(poly, p, rule) == pytest.approx(lp_norm(plain, p, rule), rel=1e-13)
         for q in (1.0, 2.0):
             assert weak_norm(poly, q, rule) == pytest.approx(weak_norm(plain, q, rule),
                                                              rel=1e-13)
+        # bloch_seminorm also samples f' on the radius-0 circle and f at the
+        # center (one angle, radius 0)
         dpoly = poly.derivative()
-        fft = bloch_seminorm(SampledFunction(poly, dpoly), 20, 16)
-        nodes = bloch_seminorm(SampledFunction(plain, dpoly.__call__), 20, 16)
+        fft = bloch_seminorm(SampledFunction(poly, dpoly), 20, M)
+        nodes = bloch_seminorm(SampledFunction(plain, dpoly.__call__), 20, M)
         assert fft == pytest.approx(nodes, rel=1e-13)
+
+    def test_fft_branch_matches_node_evaluation(self):
+        # degree 100 on 16 angles: the coefficient fold wraps six times
+        n = np.arange(101)
+        self.assert_matches_node_evaluation(
+            TaylorFunction.from_array(0.97 ** n * np.exp(1j * n)), 16)
+
+    @pytest.mark.parametrize("M", [16, 15])
+    @pytest.mark.parametrize("size", [10, 15, 16, 101])
+    def test_real_branch_matches_node_evaluation(self, M, size):
+        # size below, at and far above the angle count (the fold wraps);
+        # even and odd M differ in the rfft's Nyquist bin
+        n = np.arange(size)
+        self.assert_matches_node_evaluation(
+            TaylorFunction.from_array(0.97 ** n * np.cos(n) + 0.25), M)
 
     def test_overflow_raises_with_node(self):
         rule = DiskRule.make(radial_depth=8, order=4, angular_count=4)
-        huge = TaylorFunction.from_array(np.full(8, 1e308))  # two terms per folded bin
-        with pytest.raises(NonFiniteSampleError) as err:
-            lp_norm(huge, 2.0, rule)
-        assert abs(err.value.node) < 1.0
+        for unit in (1.0, np.exp(0.3j)):  # the rfft and the ifft branch
+            huge = TaylorFunction.from_array(np.full(8, 1e308 * unit))  # two terms per bin
+            with pytest.raises(NonFiniteSampleError) as err:
+                lp_norm(huge, 2.0, rule)
+            assert abs(err.value.node) < 1.0

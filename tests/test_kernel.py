@@ -215,6 +215,15 @@ class TestKernelNorm:
         val = kernel_lp_norm(cat["delta0"], 0.9, 2.0)
         assert np.isfinite(val) and 1.0 < val < 10.0
 
+    def test_overflow_raises_without_warning(self):
+        # |K|^2 overflows double precision on both rules; the norm raises, as
+        # diskquad.lp_norm does, with no RuntimeWarning (errors in the suite)
+        mu = RadialMeasure.dirac(0.999999, 1e300)
+        with pytest.raises(OverflowError):
+            kernel_lp_norm(mu, 0.9, 2.0)
+        with pytest.raises(OverflowError):
+            kernel_lp_norm(mu, 0.9, 2.0, rule=DiskRule.make(10, 4, 64))
+
 
 class TestEnvelope:
     def test_delta0_center_collapses(self, cat):
