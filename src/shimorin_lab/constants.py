@@ -1,8 +1,9 @@
 """Tunable verdict thresholds and default quadrature parameters, in one place.
 
 Every "is this sweep growing or plateaued" style decision in the package goes
-through the same three-point dyadic rule with the constants below, so changing
-a threshold here changes it everywhere consistently.
+through one of three rules with the constants below: the truncation ladder
+(tabulated densities, Carleson quotients), the dyadic-block rule (series
+partial sums) and the 4-point t-sweep rule (ratio experiments).
 """
 
 from __future__ import annotations

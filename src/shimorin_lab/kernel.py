@@ -15,12 +15,12 @@ in closed form, F = (1 - w)^(1-alpha) and F = -kappa log1p(-w)/w; the other
 densities (power with beta != 0, tabulated) by quadrature over their
 pushforward rule in u = 1 - r, with the mesh graded below the smallest
 |1 - w| in the batch, in real arithmetic on cache-sized blocks. The nested
-double-integral route and the upper side of the norm envelope stay on the
-graded u-rule for every density, so on a catalog measure they cross-check
-the closed forms. L^p norms of K(z, .) use a
-dedicated polar rule graded toward the near-singular direction (a uniform
-angular grid would need ~1/(1-|z|) nodes); by rotation invariance the norm
-depends on |z| only. The module also predicts the Calderon-Zygmund size and
+double-integral route (whose inner integral runs on ``_nested_radial``, the
+engine of operator.apply_radial too) and the upper side of the norm envelope
+stay on the graded u-rule for every density, so on a catalog measure they
+cross-check the closed forms. L^p norms of K(z, .) use a dedicated polar
+rule graded toward the near-singular direction (a uniform angular grid would
+need ~1/(1-|z|) nodes); by rotation invariance the norm depends on |z| only. The module also predicts the Calderon-Zygmund size and
 smoothness constants from the measure's critical index and verifies every
 pointwise/norm bound on seeded point clouds, reporting margins and witnesses.
 """
@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from . import constants as cns
-from ._gridquad import geometric_breaks, panel_rule
+from ._gridquad import gauss_rule, geometric_breaks, panel_rule
 from .measure import (
     RadialMeasure,
     critical_index,
@@ -88,7 +88,7 @@ def _rule_for_gap(mu: RadialMeasure, min_gap: float, order: int = 8):
 # block (256 KB each) stay in a core's L2 cache, where one (pairs x nodes)
 # complex matrix would not.
 _BLOCK = 1 << 15
-# Gauss order per panel of the double-integral route's inner t-integral
+# Gauss order per panel of the nested routes' inner t-integral
 _INNER_ORDER = 12
 # supnorm_sandwich sweeps |z| through 1 - 2^-j, j <= _SWEEP_DEPTH
 _SWEEP_DEPTH = 14
@@ -186,12 +186,44 @@ def eval_dz(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
     return complex(out) if out.ndim == 0 else out
 
 
+def _nested_radial(mu: RadialMeasure, rule, g, gap: float, n: int) -> np.ndarray:
+    """sum_i w_i (1/u_i) integral_0^u_i g(1 - v) dv over the outer rule (u_i, w_i)
+    plus mu's atoms, at n points; ``g(v, rows)`` is the integrand at t = 1 - v
+    for the points ``rows`` (v, not t, keeps gaps below the rounding of t exact).
+
+    All nodes share one v-mesh: [0, vmin], then geometric panels from
+    vmin = max(1e-4 gap, 1e-18) to 1, gap being the distance of g's nearest
+    singularity from t = 1. Node i in panel [b_k, b_k+1) takes the whole panels
+    below b_k, their cumulative sums folded into the panel weights as suffix
+    sums of w_i / u_i, plus one Gauss panel [b_k, u_i]. At u_i = 0 (r = 1 on a
+    tabulated grid) that panel gives the limit w_i g(1).
+    """
+    u = np.concatenate((rule[0], [1.0 - a.x for a in mu.atoms]))
+    wt = np.concatenate((rule[1], [a.mass for a in mu.atoms]))
+    breaks = np.concatenate(([0.0], geometric_breaks(max(gap * 1e-4, 1e-18), 1.0)))
+    k = np.minimum(np.searchsorted(breaks, u, side="right") - 1, breaks.size - 2)
+    per_u = np.divide(wt, u, out=np.zeros_like(u), where=u > 0.0)
+    below = np.bincount(k, weights=per_u, minlength=breaks.size - 1)
+    v, c = panel_rule(breaks, _INNER_ORDER)
+    c *= np.repeat(np.append(np.cumsum(below[:0:-1])[::-1], 0.0), _INNER_ORDER)
+    x, gw = gauss_rule(_INNER_ORDER)
+    half = 0.5 * (u - breaks[k])
+    frac = np.divide(half, u, out=np.full_like(u, 0.5), where=u > 0.0)
+    v = np.concatenate((v, (breaks[k][:, None] + half[:, None] * (x + 1.0)).ravel()))
+    c = np.concatenate((c, ((wt * frac)[:, None] * gw).ravel()))
+    out = np.empty(n, dtype=complex)
+    rows = max(1, _BLOCK // v.size)
+    for lo in range(0, n, rows):
+        out[lo:lo + rows] = g(v, slice(lo, lo + rows)) @ c
+    return out
+
+
 def double_integral_eval(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
     """Second route: nested quadrature of (1-r)^-1 integral_r^1 (1-tw)^-2 dt d nu(r).
 
     Kept genuinely independent of eval_kernel: the inner t-integral is computed
-    numerically on panels graded toward t = 1 rather than via its antiderivative.
-    Requires nu({1}) = 0.
+    numerically on ``_nested_radial``'s mesh, graded toward t = 1, rather than
+    via its antiderivative. Requires nu({1}) = 0.
     """
     if mu.mass_at_one:
         raise ValueError("double-integral representation requires no atom at 1")
@@ -199,25 +231,13 @@ def double_integral_eval(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
     lam = np.asarray(lam, dtype=complex)
     w = (z * np.conj(lam)).ravel()
     gap = float(np.min(np.abs(1.0 - w))) if w.size else 1.0
-    u_outer, wt_outer = _rule_for_gap(mu, gap)
-    atoms = [(1.0 - a.x, a.mass) for a in mu.atoms]
-    out = np.zeros(w.shape, dtype=complex)
-    vmin = max(gap * 1e-4, 1e-18)
-    for u, weight in list(zip(u_outer, wt_outer)) + atoms:
-        if u == 0.0:
-            # node r = 1 of a tabulated grid: (1/u) integral_0^u -> (1 - w)^-2
-            out += weight / (1.0 - w) ** 2
-            continue
-        # inner integral over t in [1-u, 1], i.e. v = 1 - t in [0, u]
-        if u <= 2.0 * vmin:
-            breaks = np.array([0.0, u])
-        else:
-            breaks = np.concatenate(([0.0], geometric_breaks(vmin, u)))
-        v, g = panel_rule(breaks, _INNER_ORDER)
-        inner = (1.0 / ((1.0 - w)[:, None] + v[None, :] * w[:, None]) ** 2) @ g
-        out += (weight / u) * inner
-    shape = np.broadcast(z, lam).shape
-    out = out.reshape(shape)
+
+    def g(v, rows):
+        # 1 - t w = (1 - w) + v w, in this form so that the gap 1 - w is exact
+        return 1.0 / ((1.0 - w[rows, None]) + v * w[rows, None]) ** 2
+
+    out = _nested_radial(mu, _rule_for_gap(mu, gap), g, gap, w.size)
+    out = out.reshape(np.broadcast(z, lam).shape)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -246,32 +266,22 @@ def _graded_polar(s: float, order: int = 8):
     return rho, w_rho, theta, w_theta
 
 
-def kernel_lp_norm(mu: RadialMeasure, z, p: float, rule=None) -> float:
-    """L^p(disk) norm of lam -> K(z, lam), 1 <= p < infinity.
-
-    With ``rule=None`` (default) a boundary-graded polar rule adapted to |z| is
-    used; passing a diskquad.DiskRule evaluates on that rule instead (adequate
-    only for moderate |z|, kept for cross-checking). Raises OverflowError
-    when the norm is not finite in double precision.
+def kernel_lp_norm(mu: RadialMeasure, z, p: float) -> float:
+    """L^p(disk) norm of lam -> K(z, lam), 1 <= p < infinity, on a
+    boundary-graded polar rule adapted to |z|. Raises OverflowError when the
+    norm is not finite in double precision.
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     s = float(np.abs(z))
     if s >= 1.0:
         raise ValueError("z must lie in the open disk")
+    rho, w_rho, theta, w_theta = _graded_polar(s)
+    w = s * rho[:, None] * np.exp(-1j * theta)[None, :]
     # |K|^p may overflow; a non-finite norm raises below instead of warning
     with np.errstate(over="ignore"):
-        if rule is not None:
-            total = 0.0
-            for nodes, weights in rule.iter_blocks():
-                vals = np.abs(eval_kernel(mu, np.full(nodes.shape, s, dtype=complex), nodes))
-                total += np.dot(weights, vals ** p)
-        else:
-            rho, w_rho, theta, w_theta = _graded_polar(s)
-            w = s * rho[:, None] * np.exp(-1j * theta)[None, :]
-            vals = np.abs(_resolvent(mu, w) / (1.0 - w)) ** p
-            total = w_rho @ vals @ w_theta
-        norm = float(total ** (1.0 / p))
+        vals = np.abs(_resolvent(mu, w) / (1.0 - w)) ** p
+        norm = float((w_rho @ vals @ w_theta) ** (1.0 / p))
     if not np.isfinite(norm):
         raise OverflowError(f"kernel L^{p} norm is not finite in double precision")
     return norm

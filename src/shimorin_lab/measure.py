@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 import numpy as np
-from scipy.special import betainc, digamma, gamma, gammaln, zeta
+from scipy.special import betainc, betaln, digamma, gamma, gammaln, hyp2f1, zeta
 
 from . import constants as cns
 from ._gridquad import geometric_breaks, ladder_decision, panel_rule
@@ -214,6 +214,14 @@ class PowerDensity:
             return DivergibleValue.finite(self.kappa / (e + 1.0))
         return DivergibleValue.divergent(max(-(e + 1.0), 0.0))
 
+    def disk_moment(self, s: float) -> DivergibleValue:
+        # integral (1-r^2)^-s d nu = kappa 2^-s / e 2F1(s, e; e + 1; 1/2), e = beta - s + 1
+        e = self.beta - s + 1.0
+        if e > 0.0:
+            return DivergibleValue.finite(
+                self.kappa * 2.0 ** -s / e * hyp2f1(s, e, e + 1.0, 0.5))
+        return self.gap_moment(s)
+
     def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray | None:
         """integral (1 - r w)^-1 d nu = -kappa log1p(-w)/w, or its w-derivative
         integral r (1 - r w)^-2 d nu = kappa (1/(1-w) + log1p(-w)/w)/w.
@@ -307,6 +315,14 @@ class NuAlphaDensity:
             return DivergibleValue.finite(math.exp(logv))
         return DivergibleValue.divergent(s - (2.0 - self.alpha))
 
+    def disk_moment(self, s: float) -> DivergibleValue:
+        # 2^-s B(c, d) 2F1(s, c; c + d; 1/2) / B(alpha - 1, 2 - alpha), c = 2 - alpha - s
+        c, d = 2.0 - self.alpha - s, self.alpha - 1.0
+        if c > 0.0:
+            return DivergibleValue.finite(2.0 ** -s * math.exp(betaln(c, d) - self.lognorm)
+                                          * hyp2f1(s, c, c + d, 0.5))
+        return self.gap_moment(s)
+
     def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
         """integral (1 - r w)^-1 d nu = (1 - w)^(1-alpha), or its w-derivative
         integral r (1 - r w)^-2 d nu = (alpha - 1) (1 - w)^-alpha."""
@@ -386,6 +402,9 @@ class TabulatedDensity:
 
     def gap_moment(self, s: float) -> DivergibleValue:
         return _ladder(self, lambda u: u ** (-s))
+
+    def disk_moment(self, s: float) -> DivergibleValue:
+        return _ladder(self, lambda u: (u * (2.0 - u)) ** (-s))
 
     def resolvent(self, w: np.ndarray, derivative: bool) -> None:
         return None  # no closed form; the kernel integrates the grid
@@ -576,7 +595,8 @@ def singular_moment(mu: RadialMeasure, s: float, variant: str = "gap") -> Diverg
     """integral (1-r)^-s d nu  (variant="gap")  or  (1-r^2)^-s d nu (variant="disk").
 
     The two differ by a factor in [1, 2^s] and share the same convergence set.
-    An atom at 1 forces divergence for s > 0 in either variant.
+    Catalog densities are closed forms, tabulated ones go through the
+    truncation ladder. An atom at 1 forces divergence for s > 0 in either variant.
     """
     if not (0.0 <= s < 1.0):
         raise ValueError(f"s must lie in [0, 1), got {s}")
@@ -591,10 +611,7 @@ def singular_moment(mu: RadialMeasure, s: float, variant: str = "gap") -> Diverg
             gap = 1.0 - a.x if variant == "gap" else 1.0 - a.x * a.x
             parts.append(DivergibleValue.finite(a.mass * gap ** (-s)))
     for d in mu.densities:
-        if variant == "gap":
-            parts.append(d.gap_moment(s))
-        else:
-            parts.append(_ladder(d, lambda u: (u * (2.0 - u)) ** (-s)))
+        parts.append(d.gap_moment(s) if variant == "gap" else d.disk_moment(s))
     return DivergibleValue.combine(parts)
 
 

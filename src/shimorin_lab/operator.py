@@ -5,8 +5,9 @@ the moment sequence m_n. Two further routes exist for cross-checking and for
 non-analytic inputs: direct disk quadrature of the kernel-weighted integral,
 and the nested radial formula (measures with no atom at 1)
 
-    T f(z) = integral (1-r)^-1 integral_r^1 f(t z) dt d nu(r).
+    T f(z) = integral (1-r)^-1 integral_r^1 f(t z) dt d nu(r),
 
+whose inner integral shares the engine of the double-integral kernel route.
 Route agreement on polynomials is one of the package's acceptance gates.
 The module also houses the coefficient criterion for Bergman-space membership:
 for a_n >= 0 monotone (or dyadically block-comparable), f is in the p-Bergman
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._gridquad import gauss_rule
 from .diskquad import DiskRule, TaylorFunction
-from .kernel import eval_kernel
+from .kernel import _nested_radial, eval_kernel
 from .measure import RadialMeasure
 from .multiplier import dyadic_block_verdict, moment_prefix
 
@@ -32,9 +32,6 @@ __all__ = [
     "HypothesisViolation",
 ]
 
-# inner rule of the radial route: Gauss order per panel, equal panels on [0, 1]
-_INNER_ORDER = 12
-_INNER_PANELS = 8
 # largest in-block ratio a block-comparable coefficient sequence may have
 _BLOCK_CONSTANT = 16.0
 
@@ -63,25 +60,17 @@ def apply_quadrature(mu: RadialMeasure, f, z, rule: DiskRule) -> complex:
 def apply_radial(mu: RadialMeasure, f, z) -> complex:
     """Radial route for analytic f: nested 1-D quadrature of the gap-averaged dilates.
 
-    Inner integral (1/u) integral over t in [1-u, 1] of f(t z) via composite
-    Gauss; requires nu({1}) = 0.
+    The inner integrals (1/u) integral_{1-u}^1 f(t z) dt run on
+    ``kernel._nested_radial`` with the gap 1 - |z|, as f(t z) is analytic for
+    |t| < 1/|z|. Requires nu({1}) = 0.
     """
     if mu.mass_at_one:
         raise ValueError("radial formula requires no atom at 1")
-    z = complex(z)
-    u_outer, w_outer = mu.pushforward_rule()
-    u = np.concatenate((u_outer, [1.0 - a.x for a in mu.atoms]))
-    wt = np.concatenate((w_outer, [a.mass for a in mu.atoms]))
-    x, gw = gauss_rule(_INNER_ORDER)
-    edges = np.linspace(0.0, 1.0, _INNER_PANELS + 1)
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    s = (mid[:, None] + half[:, None] * x[None, :]).ravel()   # composite nodes on [0, 1]
-    sw = (half[:, None] * gw[None, :]).ravel()                # weights summing to 1
-    t = 1.0 - u[:, None] * (1.0 - s[None, :])                 # row i maps [0, 1] -> [1-u_i, 1]
-    # dt = u ds cancels the 1/u prefactor, leaving a plain average per row
-    avg = np.asarray(f(t * z), dtype=complex) @ sw
-    return complex(np.dot(wt, avg))
+
+    def g(v, rows):
+        return np.asarray(f((1.0 - v) * complex(z)), dtype=complex)[None, :]
+
+    return complex(_nested_radial(mu, mu.pushforward_rule(), g, 1.0 - abs(z), 1)[0])
 
 
 class HypothesisViolation(ValueError):

@@ -277,16 +277,13 @@ def indicator_response(mu: RadialMeasure, t: float, tol: float = 1e-14
     return TaylorFunction.from_array(coeffs)
 
 
-def indicator_response_at(mu: RadialMeasure, t: float, z, route: str = "series",
-                          n_rho: int = 32, n_theta: int = 12) -> complex:
+def indicator_response_at(mu: RadialMeasure, t: float, z, route: str = "series") -> complex:
     """T f_t(z) by the series route or by direct box quadrature of the kernel."""
     if route == "series":
         return complex(indicator_response(mu, t)(complex(z)))
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
-    nodes, weights = box(t).gauss_nodes(n_rho, n_theta)
-    k = eval_kernel(mu, np.full(nodes.shape, complex(z)), nodes)
-    return complex(np.dot(weights, k))
+    return complex(_direct_response(mu, "indicator", t)(complex(z)))
 
 
 def _series_rule(t: float | None = None) -> DiskRule:
@@ -338,8 +335,7 @@ def sweep_verdict(values: Iterable[float]) -> str:
 
 def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
                      param: float, *, weak: bool = False, route: str | None = None,
-                     n_terms: int = 4096, rule: DiskRule | None = None,
-                     z_t: complex | None = None) -> RatioResult:
+                     n_terms: int = 4096, rule: DiskRule | None = None) -> RatioResult:
     """||T f||_q / ||f||_p for one member of a test-function family.
 
     family "indicator"/"aligned": param is the box scale t; "power"/"block":
@@ -353,7 +349,7 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     if family in ("indicator", "aligned"):
         f_norm = box(param).area ** (1.0 / p)
         if family == "aligned" or route == "direct":
-            tf = _direct_response(mu, family, param, z_t)
+            tf = _direct_response(mu, family, param)
             if q == math.inf:
                 raise ValueError("Bloch target is only wired to the series route")
             if rule is None:
@@ -376,9 +372,9 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     return RatioResult(param, f_norm, val)
 
 
-def _direct_response(mu: RadialMeasure, family: str, t: float, z_t):
+def _direct_response(mu: RadialMeasure, family: str, t: float):
     """T f on the disk by box quadrature of the kernel, for evaluation at nodes."""
-    f = indicator_testfn(t) if family == "indicator" else aligned_testfn(mu, t, z_t)
+    f = indicator_testfn(t) if family == "indicator" else aligned_testfn(mu, t)
     nodes, weights = box(t).gauss_nodes(32, 12)
     fvals = f(nodes)
 

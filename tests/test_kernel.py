@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shimorin_lab.diskquad import DiskRule
+from shimorin_lab.diskquad import DiskRule, lp_norm
 from shimorin_lab.kernel import (
     _quadrature_resolvent,
     _resolvent,
@@ -39,6 +39,9 @@ from shimorin_lab.measure import (
     TabulatedDensity,
     total_mass,
 )
+
+# a tabulated grid holding r = 0 and r = 1
+_GRID = np.linspace(0.0, 1.0, 33)
 
 
 def _boundary_and_small_w(seed: int) -> np.ndarray:
@@ -173,6 +176,32 @@ class TestDoubleIntegral:
         with pytest.raises(ValueError):
             double_integral_eval(cat["delta1"], 0.5, 0.5)
 
+    @pytest.mark.parametrize("mu", [
+        RadialMeasure.nu_alpha(1.4) + RadialMeasure.dirac(0.3, 0.8),
+        RadialMeasure.power(1.0, -0.5),
+        RadialMeasure(densities=(TabulatedDensity(tuple(_GRID), tuple(1.0 + _GRID ** 2)),)),
+    ], ids=["nu_1.4+atom", "power_-0.5", "tabulated_r0_r1"])
+    def test_matches_per_node_loop(self, mu, rng):
+        # reference: one inner rule per outer node, geometric from vmin up to u
+        from shimorin_lab._gridquad import geometric_breaks, panel_rule
+
+        z, lam = sample_boundary_pairs(rng, 40, depth=3.0)
+        w = z * np.conj(lam)
+        gap = float(np.min(np.abs(1.0 - w)))
+        vmin = max(gap * 1e-4, 1e-18)
+        u_outer, wt_outer = _rule_for_gap(mu, gap)
+        ref = np.zeros(w.shape, dtype=complex)
+        for u, weight in list(zip(u_outer, wt_outer)) + [(1.0 - a.x, a.mass) for a in mu.atoms]:
+            if u == 0.0:
+                ref += weight / (1.0 - w) ** 2
+                continue
+            breaks = (np.array([0.0, u]) if u <= 2.0 * vmin
+                      else np.concatenate(([0.0], geometric_breaks(vmin, u))))
+            v, g = panel_rule(breaks, 12)
+            ref += weight / u * ((1.0 / ((1.0 - w)[:, None] + v * w[:, None]) ** 2) @ g)
+        got = double_integral_eval(mu, z, lam)
+        assert np.max(np.abs(got - ref) / (np.abs(ref) + total_mass(mu))) <= 1e-13
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tabulated_grid_holding_r1(self, rng):
         # the node r = 1 (u = 0) enters through its limit weight * (1 - w)^-2
@@ -204,10 +233,11 @@ class TestKernelNorm:
             assert kernel_lp_norm(mu, z, p) == pytest.approx(oracle, rel=1e-8)
 
     def test_explicit_rule_cross_check(self, cat):
+        # the graded polar rule against diskquad's uniform-angular rule
         rule = DiskRule.make(radial_depth=30, order=10, angular_count=1024)
         for name in ("delta0", "lebesgue"):
             a = kernel_lp_norm(cat[name], 0.6, 1.8)
-            b = kernel_lp_norm(cat[name], 0.6, 1.8, rule=rule)
+            b = lp_norm(lambda lam: eval_kernel(cat[name], 0.6, lam), 1.8, rule)
             assert a == pytest.approx(b, rel=1e-7)
 
     def test_finite_at_stressed_point(self, cat):
@@ -216,13 +246,11 @@ class TestKernelNorm:
         assert np.isfinite(val) and 1.0 < val < 10.0
 
     def test_overflow_raises_without_warning(self):
-        # |K|^2 overflows double precision on both rules; the norm raises, as
+        # |K|^2 overflows double precision; the norm raises, as
         # diskquad.lp_norm does, with no RuntimeWarning (errors in the suite)
         mu = RadialMeasure.dirac(0.999999, 1e300)
         with pytest.raises(OverflowError):
             kernel_lp_norm(mu, 0.9, 2.0)
-        with pytest.raises(OverflowError):
-            kernel_lp_norm(mu, 0.9, 2.0, rule=DiskRule.make(10, 4, 64))
 
 
 class TestEnvelope:

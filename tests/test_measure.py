@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,43 @@ class TestSingularMoment:
             if gap.is_finite:
                 ratio = gap.value / disk.value
                 assert 1.0 - 1e-9 <= ratio <= 2.0 ** s + 1e-9
+
+
+def mp_disk_moment(density, s: float) -> float:
+    """integral (1-r^2)^-s d nu at 30 digits, the endpoint powers of the
+    pushforward density taken out by substitution (u = x^(1/c), 1 - u = y^(1/d))."""
+    with mp.workdps(30):
+        S = mp.mpf(s)
+        if isinstance(density, PowerDensity):
+            e = mp.mpf(density.beta) - S + 1
+            return float(density.kappa * mp.quad(lambda x: (2 - x ** (1 / e)) ** -S, [0, 1]) / e)
+        a = mp.mpf(density.alpha)
+        c, d, half = 2 - a - S, a - 1, mp.mpf(1) / 2
+        left = mp.quad(lambda x: (1 - x ** (1 / c)) ** (d - 1) * (2 - x ** (1 / c)) ** -S,
+                       [0, half ** c]) / c
+        right = mp.quad(lambda y: (1 - y ** (1 / d)) ** (c - 1) * (1 + y ** (1 / d)) ** -S,
+                        [0, half ** d]) / d
+        return float((left + right) / mp.beta(a - 1, 2 - a))
+
+
+class TestDiskMomentClosedForms:
+    @pytest.mark.parametrize("density, s", [
+        (NuAlphaDensity(1.9), 0.05), (NuAlphaDensity(1.05), 0.9), (NuAlphaDensity(1.5), 0.3),
+        (PowerDensity(1.0, -0.9), 0.05), (PowerDensity(2.0, -0.5), 0.25),
+        (PowerDensity(1.0, 0.0), 0.9)])
+    def test_against_quadrature(self, density, s):
+        # s just below s0: the truncated tail shrinks like eps^(s0 - s), which a
+        # truncation ladder cannot tell from growth (nu_1.9 at s = 0.05)
+        v = singular_moment(RadialMeasure(densities=(density,)), s, "disk")
+        assert v.is_finite and v.value == pytest.approx(mp_disk_moment(density, s), rel=1e-13)
+
+    @pytest.mark.parametrize("mu", [RadialMeasure.nu_alpha(1.5), RadialMeasure.power(1.0, -0.5),
+                                    RadialMeasure.nu_alpha(1.9)])
+    def test_divergence_reports_the_gap_exponent(self, mu):
+        for s in (0.5, 0.7, 0.95):
+            gap, disk = singular_moment(mu, s, "gap"), singular_moment(mu, s, "disk")
+            assert disk.is_finite == gap.is_finite
+            assert disk.growth_exponent == gap.growth_exponent
 
 
 class TestURule:
