@@ -4,7 +4,9 @@ All singular behaviour in this package lives at the endpoints of [0, 1]
 (boundary of the disk, r -> 1 of the measure, theta -> 0 of the kernel), so
 one graded-mesh engine serves every module: split the interval into geometric
 panels toward the singular end(s), put a fixed-order Gauss rule on each panel,
-and optionally account for the sub-mesh tail analytically.
+and either account for the sub-mesh tail analytically or cover it with one
+Gauss-Jacobi panel that carries an endpoint power exactly. The module also
+holds the one loop that sums a u-rule against the resolvent (1 - r w)^-1.
 """
 
 from __future__ import annotations
@@ -19,6 +21,25 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached per order."""
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+@lru_cache(maxsize=128)
+def jacobi_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes/weights for integral_0^1 u^beta g(u) du, beta > -1.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    Jacobi matrix of the weight (1 + x)^beta on [-1, 1], mapped to [0, 1], and
+    the weights the squared first eigenvector components times the mass
+    1/(beta + 1). numpy's eigh, because scipy.special.roots_jacobi imports
+    scipy.linalg on its first call (+6 MB resident).
+    """
+    n = np.arange(1, order, dtype=float)
+    s = 2.0 * n + beta
+    # three-term recurrence of P_n^(0, beta); row 0 in its cancelled form
+    diag = np.concatenate(([beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))))
+    off = 2.0 * n * (n + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), vec[0] ** 2 / (beta + 1.0)
 
 
 def panel_rule(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,6 +69,53 @@ def geometric_breaks(lo: float, hi: float) -> np.ndarray:
     pts = lo * 2.0 ** np.arange(1, n + 1)
     pts = pts[pts < hi * (1 - 1e-12)]
     return np.concatenate(([lo], pts, [hi]))
+
+
+# Elements per block of the point loops (resolvent_sum, kernel._nested_radial):
+# the few float64 temporaries of a block (256 KB each) stay in a core's L2
+# cache, where one (points x nodes) complex matrix would not.
+BLOCK = 1 << 15
+
+
+def resolvent_sum(u: np.ndarray, weights: np.ndarray, w: np.ndarray,
+                  derivative: bool) -> np.ndarray:
+    """sum_j c_j (1 - r_j w)^-1, or with ``derivative`` sum_j c_j r_j (1 - r_j w)^-2,
+    over a rule (u_j, c_j) in u = 1 - r, for a flat complex array w.
+
+    Real arithmetic on blocks of about ``BLOCK`` elements: with
+    1 - r w = a + ib and d = a^2 + b^2, 1/(a+ib) = (a - ib)/d and
+    1/(a+ib)^2 = (a^2 - b^2 - 2iab)/d^2.
+    """
+    fac = weights * (1.0 - u) if derivative else weights
+    re_gap, w_re, w_im = 1.0 - w.real, w.real, w.imag
+    out = np.empty(w.shape, dtype=complex)
+    rows = max(1, BLOCK // max(u.size, 1))
+    for lo in range(0, w.size, rows):
+        sl = slice(lo, lo + rows)
+        # 1 - r w = (1 - w) + u w, in this form so that the gap 1 - w is exact
+        a = np.multiply(w_re[sl, None], u)
+        a += re_gap[sl, None]
+        b = np.multiply(w_im[sl, None], u)
+        b -= w_im[sl, None]
+        d = a * a
+        d += b * b
+        np.reciprocal(d, out=d)
+        if derivative:
+            d *= d
+            ab = a * b
+            ab *= d
+            a *= a
+            b *= b
+            a -= b
+            a *= d
+            out.real[sl] = a @ fac
+            out.imag[sl] = -2.0 * (ab @ fac)
+        else:
+            a *= d
+            b *= d
+            out.real[sl] = a @ fac
+            out.imag[sl] = -(b @ fac)
+    return out
 
 
 def richardson_tail(values: np.ndarray) -> float:

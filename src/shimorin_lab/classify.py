@@ -179,6 +179,11 @@ def standard_estimate(mu: RadialMeasure) -> StandardEstimate:
     return StandardEstimate(w.is_finite, c, "hyperbolic", w)
 
 
+# Largest region_grid resolution, checked before any cell is computed: the
+# grid costs resolution^2 exact verdicts, ~0.2 s at 64 and ~15 min at 4096.
+REGION_MAX_RESOLUTION = 4096
+
+
 def region_grid(c_nu: Exponent, resolution: int) -> list[tuple[float, float, str, str]]:
     """Verdicts at cell centers of a resolution x resolution grid over (1/p, 1/q).
 
@@ -186,6 +191,8 @@ def region_grid(c_nu: Exponent, resolution: int) -> list[tuple[float, float, str
     """
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
+    if resolution > REGION_MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {REGION_MAX_RESOLUTION}, got {resolution}")
     rows = []
     for i in range(resolution):
         inv_p = Fraction(2 * i + 1, 2 * resolution)

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import kernel as kr
 from . import testfns as tf
-from .classify import ExponentPair, region_grid, region_verdict, standard_estimate
+from .classify import (REGION_MAX_RESOLUTION, ExponentPair, region_grid, region_verdict,
+                       standard_estimate)
 from .diskquad import NonFiniteSampleError, QuadratureNonconvergence
 from .measure import RadialMeasure, critical_index
 from .multiplier import QuadratureError, _quadrature_moments, claim1_envelope
@@ -351,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sp.add_parser("region", help="verdict grid over the (1/p, 1/q) square")
     _add_common(g, measure=False)
     g.add_argument("--c", required=True, help="critical index (float or fraction)")
-    g.add_argument("--resolution", type=int, default=64)
+    g.add_argument("--resolution", type=int, default=64,
+                   help=f"cells per side, 8 to {REGION_MAX_RESOLUTION}")
     g.set_defaults(func=cmd_region)
     return ap
 

@@ -11,14 +11,15 @@ representation (measures with no atom at 1):
 The two resolvent integrals F(w) = integral (1 - r w)^-1 d nu and
 F'(w) = integral r (1 - r w)^-2 d nu are summed per component: atoms exactly;
 nu_alpha densities and power densities with beta = 0 (kappa times Lebesgue)
-in closed form, F = (1 - w)^(1-alpha) and F = -kappa log1p(-w)/w; the other
-densities (power with beta != 0, tabulated) by quadrature over their
-pushforward rule in u = 1 - r, with the mesh graded below the smallest
-|1 - w| in the batch, in real arithmetic on cache-sized blocks. The nested
+in closed form, F = (1 - w)^(1-alpha) and F = -kappa log1p(-w)/w; power
+densities with beta != 0 on a rule per octave of |1 - w| whose Gauss-Jacobi
+panel at u = 0 carries u^beta exactly (``PowerDensity.resolvent``); tabulated
+densities on their grid. Both quadratures run in real arithmetic on
+cache-sized blocks (``_gridquad.resolvent_sum``). The nested
 double-integral route (whose inner integral runs on ``_nested_radial``, the
 engine of operator.apply_radial too) and the upper side of the norm envelope
 stay on the graded u-rule for every density, so on a catalog measure they
-cross-check the closed forms. L^p norms of K(z, .) use a dedicated polar
+cross-check both. L^p norms of K(z, .) use a dedicated polar
 rule graded toward the near-singular direction (a uniform angular grid would
 need ~1/(1-|z|) nodes); by rotation invariance the norm depends on |z| only. The module also predicts the Calderon-Zygmund size and
 smoothness constants from the measure's critical index and verifies every
@@ -34,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from . import constants as cns
-from ._gridquad import gauss_rule, geometric_breaks, panel_rule
+from ._gridquad import BLOCK, gauss_rule, geometric_breaks, panel_rule, resolvent_sum
 from .measure import (
     RadialMeasure,
     critical_index,
@@ -74,20 +75,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _cached_rule(mu: RadialMeasure, depth_zero: int, depth_one: int,
-                 order: int) -> tuple[np.ndarray, np.ndarray]:
+def _cached_rule(mu: RadialMeasure, depth_zero: int = cns.MEASURE_DEPTH_ZERO,
+                 depth_one: int = cns.MEASURE_DEPTH_ONE,
+                 order: int = cns.MEASURE_ORDER) -> tuple[np.ndarray, np.ndarray]:
     return mu.pushforward_rule(depth_zero=depth_zero, depth_one=depth_one, order=order)
 
 
-def _rule_for_gap(mu: RadialMeasure, min_gap: float, order: int = 8):
+# Gauss order per panel of the rule graded below a gap
+_GAP_RULE_ORDER = 8
+
+
+def _rule_for_gap(mu: RadialMeasure, min_gap: float):
     depth0 = int(min(120, max(40, np.ceil(-np.log2(max(min_gap, 1e-30))) + 20)))
-    return _cached_rule(mu, depth0, cns.MEASURE_DEPTH_ONE, order)
+    return _cached_rule(mu, depth0, cns.MEASURE_DEPTH_ONE, _GAP_RULE_ORDER)
 
 
-# Elements per block of the quadrature loop: the few float64 temporaries of a
-# block (256 KB each) stay in a core's L2 cache, where one (pairs x nodes)
-# complex matrix would not.
-_BLOCK = 1 << 15
 # Gauss order per panel of the nested routes' inner t-integral
 _INNER_ORDER = 12
 # supnorm_sandwich sweeps |z| through 1 - 2^-j, j <= _SWEEP_DEPTH
@@ -96,53 +98,20 @@ _SWEEP_DEPTH = 14
 
 def _quadrature_resolvent(mu: RadialMeasure, w: np.ndarray, derivative: bool) -> np.ndarray:
     """Density part of integral (1 - r w)^-1 d nu (or of integral r (1 - r w)^-2 d nu
-    with ``derivative``) by the graded u-rule, for a flat complex array w.
-
-    The rule is graded below the smallest |1 - w|. The loop runs in real
-    arithmetic on blocks of about ``_BLOCK`` elements: with 1 - r w = a + ib
-    and d = a^2 + b^2, 1/(a+ib) = (a - ib)/d and 1/(a+ib)^2 = (a^2 - b^2 - 2iab)/d^2.
+    with ``derivative``) on mu's pushforward rule at the default depths, for a
+    flat complex array w. ``_resolvent`` sends only tabulated densities here,
+    whose rule is their grid whatever the depths.
     """
-    gap = float(np.min(np.abs(1.0 - w))) if w.size else 1.0
-    u, wt = _rule_for_gap(mu, gap)
-    fac = wt * (1.0 - u) if derivative else wt
-    re_gap, w_re, w_im = 1.0 - w.real, w.real, w.imag
-    out = np.empty(w.shape, dtype=complex)
-    rows = max(1, _BLOCK // max(u.size, 1))
-    for lo in range(0, w.size, rows):
-        sl = slice(lo, lo + rows)
-        # 1 - r w = (1 - w) + u w, in this form so that the gap 1 - w is exact
-        a = np.multiply(w_re[sl, None], u)
-        a += re_gap[sl, None]
-        b = np.multiply(w_im[sl, None], u)
-        b -= w_im[sl, None]
-        d = a * a
-        d += b * b
-        np.reciprocal(d, out=d)
-        if derivative:
-            d *= d
-            ab = a * b
-            ab *= d
-            a *= a
-            b *= b
-            a -= b
-            a *= d
-            out.real[sl] = a @ fac
-            out.imag[sl] = -2.0 * (ab @ fac)
-        else:
-            a *= d
-            b *= d
-            out.real[sl] = a @ fac
-            out.imag[sl] = -(b @ fac)
-    return out
+    return resolvent_sum(*_cached_rule(mu), w, derivative)
 
 
 def _resolvent(mu: RadialMeasure, w, derivative: bool = False) -> np.ndarray:
     """integral (1 - r w)^-1 d nu(r), or with ``derivative`` its w-derivative
     integral r (1 - r w)^-2 d nu(r), vectorized over w.
 
-    Summed per component: atoms exactly, catalog densities in their closed
-    form (``resolvent`` in measure.py), and the remaining densities by the
-    quadrature of ``_quadrature_resolvent`` on a rule graded for them alone.
+    Summed per component: atoms exactly, catalog densities by their own
+    ``resolvent`` in measure.py, and tabulated densities on their grid by
+    ``_quadrature_resolvent``.
     """
     w = np.asarray(w, dtype=complex)
     flat = w.ravel()
@@ -165,8 +134,8 @@ def _resolvent(mu: RadialMeasure, w, derivative: bool = False) -> np.ndarray:
 
 
 def eval_kernel(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
-    """K(z, lam); atoms and catalog closed forms exact, other densities by
-    graded quadrature in u = 1 - r."""
+    """K(z, lam); atoms and catalog closed forms exact, power densities with
+    beta != 0 on their gap-octave rules, tabulated densities on their grid."""
     z = np.asarray(z, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
     w = z * np.conj(lam)
@@ -212,7 +181,7 @@ def _nested_radial(mu: RadialMeasure, rule, g, gap: float, n: int) -> np.ndarray
     v = np.concatenate((v, (breaks[k][:, None] + half[:, None] * (x + 1.0)).ravel()))
     c = np.concatenate((c, ((wt * frac)[:, None] * gw).ravel()))
     out = np.empty(n, dtype=complex)
-    rows = max(1, _BLOCK // v.size)
+    rows = max(1, BLOCK // v.size)
     for lo in range(0, n, rows):
         out[lo:lo + rows] = g(v, slice(lo, lo + rows)) @ c
     return out

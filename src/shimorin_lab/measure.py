@@ -14,12 +14,13 @@ alpha in (1, 2), and user-tabulated densities). The functionals computed here
 
 use closed forms wherever the catalog permits and graded quadrature in
 u = 1 - r (with a truncation ladder for divergence detection) otherwise.
-Each density also carries the closed forms, where the catalog has them, of
-the resolvent integral (1 - r w)^-1 d nu with its w-derivative, and of the
-coefficient multipliers m_n = (n+1)^-1 integral (1 - r^(n+1))/(1 - r) d nu;
-the kernel and multiplier modules sum these per component. Power and nu_alpha
-densities have both multiplier closed forms (Gamma ratios in an O(1)-term
-Stirling form); tabulated densities have none and go through quadrature.
+Power and nu_alpha densities also carry the resolvent integral
+(1 - r w)^-1 d nu with its w-derivative (closed forms, and for power
+densities with beta != 0 a Gauss-Jacobi quadrature per octave of |1 - w|)
+and the coefficient multipliers m_n = (n+1)^-1 integral (1 - r^(n+1))/(1 - r) d nu
+in closed form (Gamma ratios in an O(1)-term Stirling form); the kernel and
+multiplier modules sum these per component. Tabulated densities have neither
+and go through quadrature on their grid.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Union
 
 import numpy as np
 from scipy.special import betainc, betaln, digamma, gamma, gammaln, hyp2f1, zeta
 
 from . import constants as cns
-from ._gridquad import geometric_breaks, ladder_decision, panel_rule
+from ._gridquad import (geometric_breaks, jacobi_rule, ladder_decision, panel_rule,
+                        resolvent_sum)
 
 __all__ = [
     "Atom",
@@ -124,6 +127,27 @@ _LEBESGUE_TAYLOR_RADIUS = 0.05
 _LEBESGUE_TAYLOR_TERMS = 16
 
 _EULER_GAMMA = 0.57721566490153286061
+
+# Resolvent rules of power densities with beta != 0, one per octave k of the
+# gap: |1 - w| in (2^-(k+1), 2^-k], k clipped to [0, _POWER_MAX_OCTAVE]. For
+# |w| < 1 the pole u* = 1 - 1/w of (1 - r w)^-1 has |u*| >= |1 - w| and
+# |u - u*| > u on [0, 1], so the Gauss-Jacobi panel on
+# [0, 2^-(k + _POWER_JACOBI_OFFSET)], which carries u^beta exactly, and each
+# geometric Gauss-Legendre panel [a, 2a] above it see the pole (and the latter
+# the branch point of u^beta) at least 3 half-widths from their center.
+_POWER_ORDER = 10
+_POWER_JACOBI_OFFSET = 2
+_POWER_MAX_OCTAVE = 100
+
+
+@lru_cache(maxsize=512)
+def _power_gap_rule(beta: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """u-rule of u^beta du on [0, 1] for the gap octave k (see above)."""
+    h = 2.0 ** -(k + _POWER_JACOBI_OFFSET)
+    x, c = jacobi_rule(_POWER_ORDER, beta)
+    u, g = panel_rule(geometric_breaks(h, 1.0), _POWER_ORDER)
+    return np.concatenate((h * x, u)), np.concatenate((h ** (beta + 1.0) * c, g * u ** beta))
+
 
 # Gamma ratios for the multiplier closed forms. exp(gammaln - gammaln) loses
 # ~1e-10 relative near x = 1e5 (each log-gamma is ~1e6 in size), and
@@ -222,15 +246,26 @@ class PowerDensity:
                 self.kappa * 2.0 ** -s / e * hyp2f1(s, e, e + 1.0, 0.5))
         return self.gap_moment(s)
 
-    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray | None:
-        """integral (1 - r w)^-1 d nu = -kappa log1p(-w)/w, or its w-derivative
-        integral r (1 - r w)^-2 d nu = kappa (1/(1-w) + log1p(-w)/w)/w.
+    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
+        """integral (1 - r w)^-1 d nu = kappa/(beta+1) 2F1(1, 1; beta+2; w), or its
+        w-derivative integral r (1 - r w)^-2 d nu = kappa/((beta+1)(beta+2))
+        2F1(2, 2; beta+3; w).
 
-        Closed form for beta = 0 only (beta != 0 would need complex 2F1).
+        At beta = 0 in closed form, -kappa log1p(-w)/w and
+        kappa (1/(1-w) + log1p(-w)/w)/w; otherwise by quadrature, the points
+        grouped by the octave of |1 - w|, each group on its ``_power_gap_rule``.
         """
-        if self.beta != 0.0:
-            return None
         w = np.asarray(w, dtype=complex)
+        if self.beta != 0.0:
+            flat = w.ravel()
+            gap = np.maximum(np.abs(1.0 - flat), 2.0 ** -_POWER_MAX_OCTAVE)
+            octave = np.maximum(np.floor(-np.log2(gap)), 0.0).astype(int)
+            out = np.empty(flat.shape, dtype=complex)
+            for k in np.unique(octave):
+                sel = octave == k
+                out[sel] = resolvent_sum(*_power_gap_rule(self.beta, int(k)),
+                                         flat[sel], derivative)
+            return self.kappa * out.reshape(w.shape)
         out = np.empty_like(w)
         small = np.abs(w) < _LEBESGUE_TAYLOR_RADIUS
         k = np.arange(_LEBESGUE_TAYLOR_TERMS, dtype=float)

@@ -276,6 +276,13 @@ class TestFrontDoor:
             assert code == EXIT_CONFIG and out == ""
             assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_oversized_region_exits_2(self):
+        # rejected before any cell is computed; it used to run without end
+        code, out, err = run_cli("region", "--c", "1.5", "--resolution", "100000000")
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "4096" in err
+
     @given(_argv)
     @settings(max_examples=150, deadline=None)
     def test_generated_requests_exit_cleanly(self, argv):

@@ -1,13 +1,16 @@
 """Kernel evaluation, norm envelopes, CZ constants, every pointwise bound."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from shimorin_lab._gridquad import resolvent_sum
 from shimorin_lab.diskquad import DiskRule, lp_norm
 from shimorin_lab.kernel import (
-    _quadrature_resolvent,
+    _graded_polar,
     _resolvent,
     _rule_for_gap,
     BoundViolation,
@@ -55,7 +58,7 @@ def _boundary_and_small_w(seed: int) -> np.ndarray:
 
 def _by_quadrature(mu: RadialMeasure, w: np.ndarray, derivative: bool) -> np.ndarray:
     """The resolvent with every density on the graded u-rule, atoms exact."""
-    out = _quadrature_resolvent(mu, w, derivative)
+    out = resolvent_sum(*_rule_for_gap(mu, float(np.min(np.abs(1.0 - w)))), w, derivative)
     for a in mu.atoms:
         if derivative:
             out += a.mass * a.x / (1.0 - a.x * w) ** 2
@@ -72,7 +75,11 @@ class TestResolvent:
         RadialMeasure.power(2.5, 0.0),
         RadialMeasure((Atom(0.3, 0.7),), (PowerDensity(1.2, 0.5), NuAlphaDensity(1.3),
                                           PowerDensity(0.5, 0.0))),
-    ], ids=["nu_1.1", "nu_1.5", "nu_1.9", "2.5_lebesgue", "atom+power+nu+lebesgue"])
+        RadialMeasure.power(1.0, -0.9),
+        RadialMeasure.power(0.7, 0.202),
+        RadialMeasure.power(1.3, 1.5),
+    ], ids=["nu_1.1", "nu_1.5", "nu_1.9", "2.5_lebesgue", "atom+power+nu+lebesgue",
+            "power_-0.9", "power_0.202", "power_1.5"])
     def test_closed_forms_match_the_quadrature(self, mu):
         w = _boundary_and_small_w(41)
         for derivative in (False, True):
@@ -101,9 +108,36 @@ class TestResolvent:
                         ref = complex((1 / (1 - x) + log / x) / x if derivative else -log / x)
                     assert abs(g - ref) <= tol * abs(ref), (x, derivative)
 
+    @pytest.mark.parametrize("beta", [-0.97, -0.5, 0.999, 1.0 + 1e-9, 1.5, 2.5])
+    def test_power_against_mpmath(self, beta):
+        # kappa/(beta+1) 2F1(1, 1; beta+2; w) and its derivative
+        # kappa/((beta+1)(beta+2)) 2F1(2, 2; beta+3; w), at w on kernel_lp_norm's
+        # polar grids: the smallest gaps (down to 1e-6) and a random sample
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(53)
+        density = PowerDensity(1.3, beta)
+        for s in (0.5, 0.98, 1.0 - 1e-6):
+            rho, _, theta, _ = _graded_polar(s)
+            w = (s * rho[:, None] * np.exp(-1j * theta)[None, :]).ravel()
+            w = np.concatenate((w[np.argsort(np.abs(1.0 - w))[:8]], rng.choice(w, 16)))
+            for derivative in (False, True):
+                got = density.resolvent(w, derivative)
+                for g, x in zip(got, w):
+                    with mpmath.workdps(30):
+                        x, b = mpmath.mpc(x.real, x.imag), mpmath.mpf(beta)
+                        if derivative:
+                            ref = 1.3 / ((b + 1) * (b + 2)) * mpmath.hyp2f1(2, 2, b + 3, x)
+                        else:
+                            ref = 1.3 / (b + 1) * mpmath.hyp2f1(1, 1, b + 2, x)
+                        ref = complex(ref)
+                    assert abs(g - ref) <= 1e-13 * abs(ref), (s, x, derivative)
+
     def test_no_closed_form_outside_the_catalog(self):
         w = np.array([0.5 + 0.1j])
-        assert PowerDensity(1.0, 0.5).resolvent(w, False) is None
+        # every power density has a resolvent of its own; at beta = 1 it is
+        # kappa (w + (1 - w) log(1 - w)) / w^2
+        ref = 2.0 * (w + (1.0 - w) * np.log1p(-w)) / w ** 2
+        assert PowerDensity(2.0, 1.0).resolvent(w, False) == pytest.approx(ref, rel=1e-14)
         assert TabulatedDensity((0.0, 1.0), (1.0, 2.0)).resolvent(w, False) is None
 
     @pytest.mark.parametrize("mu", [
@@ -117,8 +151,20 @@ class TestResolvent:
         denom = (1.0 - w)[:, None] + u[None, :] * w[:, None]
         for derivative, power, fac in ((False, 1, wt), (True, 2, wt * (1.0 - u))):
             ref = (1.0 / denom ** power) @ fac
-            got = _quadrature_resolvent(mu, w, derivative)
+            got = resolvent_sum(u, wt, w, derivative)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    def test_power_norm_leaves_scipy_linalg_unimported(self):
+        # the Gauss-Jacobi rule comes from numpy's eigh: scipy.special.roots_jacobi
+        # would import scipy.linalg, several MB of resident memory per process
+        code = ("import sys\n"
+                "from shimorin_lab.kernel import kernel_lp_norm\n"
+                "from shimorin_lab.measure import RadialMeasure\n"
+                "kernel_lp_norm(RadialMeasure.power(1.0, 0.202), 0.9, 1.5)\n"
+                "print('scipy.linalg' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEval:
