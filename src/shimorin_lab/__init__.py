@@ -28,7 +28,6 @@ from .kernel import (
     forelli_rudin_check,
     kernel_lp_norm,
     pnorm_envelope,
-    split_at_one,
     supnorm_sandwich,
 )
 from .measure import (
@@ -45,6 +44,7 @@ from .measure import (
     hyperbolic_integral,
     reciprocal_gap_integral,
     singular_moment,
+    split_at_one,
     tail_mass,
     total_mass,
 )

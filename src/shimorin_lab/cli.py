@@ -15,9 +15,10 @@ region       CSV grid of boundedness verdicts over the (1/p, 1/q) square
 The --measure flag takes inline JSON ({"atoms": [...], "densities": [...]}),
 @path/to/file.json, or a named shortcut: delta0, delta1, lebesgue,
 nu_alpha:<alpha>, power:<kappa>,<beta>, atom:<x>,<mass>; shortcuts may be
-combined with '+'. Floats print with 17 significant digits; a fixed --seed
-makes output bytes reproducible. A request that cannot be carried out exits 2
-with one 'error:' line on stderr and writes no output.
+combined with '+'. Floats print with 17 significant digits and output bytes
+are reproducible; verify draws its sample points from --seed (default 0). A
+request that cannot be carried out exits 2 with one 'error:' line on stderr
+and writes no output.
 """
 
 from __future__ import annotations
@@ -305,7 +306,6 @@ def _add_common(sub, measure: bool = True):
     if measure:
         sub.add_argument("--measure", required=True,
                          help="inline JSON, @file, or shortcut (see module help)")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
 
@@ -323,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sp.add_parser("verify", help="run an invariant suite")
     _add_common(v)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--suite", choices=("kernel", "multiplier", "testfns", "all"),
                    default="all")
     v.set_defaults(func=cmd_verify)

@@ -111,23 +111,6 @@ class TaylorFunction:
             return TaylorFunction.from_array([0.0])
         return TaylorFunction.from_array(c[1:] * np.arange(1, c.size))
 
-    @classmethod
-    def truncate_series(cls, coeff_fn, radius: float, tol: float = 1e-12,
-                        max_terms: int = 200_000) -> "TaylorFunction":
-        """Truncate a_n = coeff_fn(n) so the geometric tail at ``radius`` is < tol."""
-        if not (0.0 < radius < 1.0):
-            raise ValueError("truncation radius must lie in (0, 1)")
-        block, coeffs, n0 = 256, [], 0
-        while n0 < max_terms:
-            n = np.arange(n0, n0 + block)
-            a = np.asarray(coeff_fn(n), dtype=complex)
-            coeffs.append(a)
-            bound = np.abs(a[-1]) * radius ** n[-1] / (1.0 - radius)
-            if bound < tol:
-                break
-            n0 += block
-        return cls.from_array(np.concatenate(coeffs))
-
 
 def _radial_breaks(depth: int) -> np.ndarray:
     pts = 1.0 - 2.0 ** (-np.arange(depth + 1, dtype=float))

@@ -42,6 +42,7 @@ from .measure import (
     carleson_constant,
     reciprocal_gap_integral,
     singular_moment,
+    split_at_one,
     total_mass,
 )
 
@@ -76,9 +77,8 @@ __all__ = [
 
 @lru_cache(maxsize=128)
 def _cached_rule(mu: RadialMeasure, depth_zero: int = cns.MEASURE_DEPTH_ZERO,
-                 depth_one: int = cns.MEASURE_DEPTH_ONE,
                  order: int = cns.MEASURE_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    return mu.pushforward_rule(depth_zero=depth_zero, depth_one=depth_one, order=order)
+    return mu.pushforward_rule(depth_zero=depth_zero, order=order)
 
 
 # Gauss order per panel of the rule graded below a gap
@@ -87,7 +87,7 @@ _GAP_RULE_ORDER = 8
 
 def _rule_for_gap(mu: RadialMeasure, min_gap: float):
     depth0 = int(min(120, max(40, np.ceil(-np.log2(max(min_gap, 1e-30))) + 20)))
-    return _cached_rule(mu, depth0, cns.MEASURE_DEPTH_ONE, _GAP_RULE_ORDER)
+    return _cached_rule(mu, depth0, _GAP_RULE_ORDER)
 
 
 # Gauss order per panel of the nested routes' inner t-integral
@@ -368,17 +368,6 @@ def cz_constants(mu: RadialMeasure) -> Union[CzConstants, CzNotApplicable]:
     if not c2.is_finite:
         return CzNotApplicable("1-Carleson constant diverges")
     return CzConstants(1.0, rec.value + c2.value, rec.value + 5.0 * c2.value, "c=2")
-
-
-def split_at_one(mu: RadialMeasure) -> tuple[RadialMeasure | None, float]:
-    """Split nu = nu1 + nu({1}) delta_1; returns (nu1 or None when zero, mass at 1)."""
-    mass = mu.mass_at_one
-    if mass == 0.0:
-        return mu, 0.0
-    kept_atoms = tuple(a for a in mu.atoms if a.x != 1.0)
-    if not kept_atoms and not mu.densities:
-        return None, mass
-    return RadialMeasure(kept_atoms, mu.densities), mass
 
 
 def forelli_rudin_check(t_exp: float, c_exp: float, z) -> tuple[float, float]:

@@ -7,13 +7,15 @@ alpha in (1, 2), and user-tabulated densities). The functionals computed here
 
     total mass            nu([0, 1])
     tail mass             nu([1-t, 1))
-    singular moments      integral (1-r)^-s  and  (1-r^2)^-s  d nu
+    singular moments      integral (1-r)^-s  and  (1-r^2)^-s  d nu, 0 <= s <= 1
     critical index        c = sup{ 1 <= c < 2 : (1-r^2)^(-2/c') moment finite }
     Carleson constant     sup_t nu([1-t, 1]) / t^a
     hyperbolic integral   integral_[0,1) (1-r^2)^-1 d nu
+    reciprocal gap        integral_[0,1) (1-r)^-1 d nu
 
 use closed forms wherever the catalog permits and graded quadrature in
-u = 1 - r (with a truncation ladder for divergence detection) otherwise.
+u = 1 - r (with a truncation ladder for divergence detection) otherwise. The
+last two are the s = 1 singular moments of nu without its atom at 1.
 Power and nu_alpha densities also carry the resolvent integral
 (1 - r w)^-1 d nu with its w-derivative (closed forms, and for power
 densities with beta != 0 a Gauss-Jacobi quadrature per octave of |1 - w|)
@@ -54,7 +56,7 @@ __all__ = [
     "hyperbolic_integral",
     "reciprocal_gap_integral",
     "catalog",
-    "random_catalog_measure",
+    "split_at_one",
 ]
 
 
@@ -231,20 +233,31 @@ class PowerDensity:
     def s0(self) -> float:
         return min(self.beta + 1.0, 1.0)
 
+    def _exponent(self, s: float) -> float | None:
+        """e = beta + (1 - s) if the moments at s are finite, else None.
+
+        Finite means s < beta + 1. s is compared with beta + 1.0 rounded as
+        s0() rounds it, so the moments at s0() diverge whichever way that
+        rounding goes; beta > 0 keeps s = 1 finite even where 1 + beta rounds
+        to 1. At s = 1, e is exactly beta.
+        """
+        if s < self.beta + 1.0 or (s == 1.0 and self.beta > 0.0):
+            return self.beta + (1.0 - s)
+        return None
+
     def gap_moment(self, s: float) -> DivergibleValue:
-        # integral (1-r)^(beta-s) dr over [0,1)
-        e = self.beta - s
-        if e > -1.0:
-            return DivergibleValue.finite(self.kappa / (e + 1.0))
-        return DivergibleValue.divergent(max(-(e + 1.0), 0.0))
+        # integral (1-r)^(beta-s) dr over [0,1) = kappa / e
+        e = self._exponent(s)
+        if e is None:
+            return DivergibleValue.divergent(max(-(self.beta - s + 1.0), 0.0))
+        return DivergibleValue.finite(self.kappa / e)
 
     def disk_moment(self, s: float) -> DivergibleValue:
-        # integral (1-r^2)^-s d nu = kappa 2^-s / e 2F1(s, e; e + 1; 1/2), e = beta - s + 1
-        e = self.beta - s + 1.0
-        if e > 0.0:
-            return DivergibleValue.finite(
-                self.kappa * 2.0 ** -s / e * hyp2f1(s, e, e + 1.0, 0.5))
-        return self.gap_moment(s)
+        # integral (1-r^2)^-s d nu = kappa 2^-s / e 2F1(s, e; e + 1; 1/2)
+        e = self._exponent(s)
+        if e is None:
+            return self.gap_moment(s)
+        return DivergibleValue.finite(self.kappa * 2.0 ** -s / e * hyp2f1(s, e, e + 1.0, 0.5))
 
     def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
         """integral (1 - r w)^-1 d nu = kappa/(beta+1) 2F1(1, 1; beta+2; w), or its
@@ -305,7 +318,7 @@ class PowerDensity:
                                    1.0 - np.exp(lg - rest) * y ** (-b))
         return self.kappa * one_minus_r / (b * N)
 
-    def u_rule(self, umin: float, depth_one: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    def u_rule(self, umin: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         # grading toward u = 0 only; the density is smooth at u = 1
         u, g = panel_rule(geometric_breaks(umin, 1.0), order)
         w = g * self.kappa * u ** self.beta
@@ -373,18 +386,18 @@ class NuAlphaDensity:
         y, rest = _stirling_split(np.asarray(n, dtype=float) + 2.0, b)
         return y ** b * np.exp(rest) / gamma(self.alpha)
 
-    def u_rule(self, umin: float, depth_one: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    def u_rule(self, umin: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         # two pieces: u-panels toward 0 and v = 1-u panels toward 1, so the
         # singular factors u^(1-a) and (1-u)^(a-2) are both evaluated without
         # cancellation; sub-mesh slivers enter as analytic pseudo-atoms
         a = self.alpha
+        dmin = 2.0 ** (-cns.MEASURE_DEPTH_ONE)
         u_l, g_l = panel_rule(geometric_breaks(umin, 0.5), order)
         w_l = g_l * np.exp((1.0 - a) * np.log(u_l) + (a - 2.0) * np.log1p(-u_l)
                            - self.lognorm)
-        v_r, g_r = panel_rule(geometric_breaks(2.0 ** (-depth_one), 0.5), order)
+        v_r, g_r = panel_rule(geometric_breaks(dmin, 0.5), order)
         w_r = g_r * np.exp((a - 2.0) * np.log(v_r) + (1.0 - a) * np.log1p(-v_r)
                            - self.lognorm)
-        dmin = 2.0 ** (-depth_one)
         norm = math.exp(-self.lognorm)
         tail0 = norm * umin ** (2.0 - a) / (2.0 - a)
         tail1 = norm * dmin ** (a - 1.0) / (a - 1.0)
@@ -447,7 +460,7 @@ class TabulatedDensity:
     def moments(self, n: np.ndarray) -> None:
         return None  # no closed form; the multiplier integrates the grid
 
-    def u_rule(self, umin: float, depth_one: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    def u_rule(self, umin: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         # the grid itself, whatever umin: the ladder drops nodes below its cut-off
         r = np.asarray(self.r)
         v = np.asarray(self.values)
@@ -475,7 +488,7 @@ def _ladder(density: Density, integrand: Callable[[np.ndarray], np.ndarray]
     eps = np.array(cns.LADDER_EPS)
     vals = []
     for e in eps:
-        u, w = density.u_rule(e, cns.MEASURE_DEPTH_ONE, cns.MEASURE_ORDER)
+        u, w = density.u_rule(e, cns.MEASURE_ORDER)
         keep = u >= e
         vals.append(float(np.dot(w[keep], integrand(u[keep]))))
     divergent, x = ladder_decision(np.array(vals), eps,
@@ -592,7 +605,6 @@ class RadialMeasure:
         return sum(a.mass for a in self.atoms if a.x == 1.0)
 
     def pushforward_rule(self, depth_zero: int = cns.MEASURE_DEPTH_ZERO,
-                         depth_one: int = cns.MEASURE_DEPTH_ONE,
                          order: int = cns.MEASURE_ORDER) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes/weights in u = 1 - r for the density part only.
 
@@ -600,7 +612,7 @@ class RadialMeasure:
         """
         us, ws = [], []
         for d in self.densities:
-            u, w = d.u_rule(2.0 ** (-depth_zero), depth_one, order)
+            u, w = d.u_rule(2.0 ** (-depth_zero), order)
             us.append(u)
             ws.append(w)
         if not us:
@@ -633,8 +645,8 @@ def singular_moment(mu: RadialMeasure, s: float, variant: str = "gap") -> Diverg
     Catalog densities are closed forms, tabulated ones go through the
     truncation ladder. An atom at 1 forces divergence for s > 0 in either variant.
     """
-    if not (0.0 <= s < 1.0):
-        raise ValueError(f"s must lie in [0, 1), got {s}")
+    if not (0.0 <= s <= 1.0):
+        raise ValueError(f"s must lie in [0, 1], got {s}")
     if variant not in ("gap", "disk"):
         raise ValueError(f"unknown variant {variant!r}")
     parts = []
@@ -693,15 +705,12 @@ def critical_index(mu: RadialMeasure) -> CriticalIndex:
         s0s += [d.s0() for d in mu.densities]
         s0 = min(s0s)
     c = 2.0 / (2.0 - s0)
-    if s0 == 0.0:
-        attained = "yes"  # the moment at s=0 is the total mass, finite
-    elif s0 == 1.0:
-        attained = "yes" if hyperbolic_integral(mu).is_finite else "no"
-    else:
-        at = singular_moment(mu, s0, variant="disk")
-        attained = "yes" if at.is_finite else "no"
     if interval is not None:
         attained = "unknown"
+    elif s0 == 0.0:
+        attained = "yes"  # the moment at s=0 is the total mass, finite
+    else:
+        attained = "yes" if singular_moment(mu, s0, "disk").is_finite else "no"
     return CriticalIndex(c, attained, s0, interval)
 
 
@@ -741,61 +750,35 @@ def carleson_constant(mu: RadialMeasure, a: float) -> DivergibleValue:
     return DivergibleValue.finite(max(best, float(vals.max())))
 
 
-def _gap_weighted_integral(mu: RadialMeasure, integrand: Callable[[np.ndarray], np.ndarray],
-                           power_growth: Callable[[PowerDensity], DivergibleValue],
-                           atom_value: Callable[[Atom], float]) -> DivergibleValue:
-    """Shared skeleton for integrals over [0, 1) singular like u^-1 at u = 0."""
-    parts = []
-    for atom in mu.atoms:
-        if atom.x == 1.0:
-            continue  # domain [0, 1)
-        parts.append(DivergibleValue.finite(atom_value(atom)))
-    for d in mu.densities:
-        if isinstance(d, PowerDensity):
-            parts.append(power_growth(d))
-        elif isinstance(d, NuAlphaDensity):
-            parts.append(DivergibleValue.divergent(d.alpha - 1.0))
-        else:
-            parts.append(_ladder(d, integrand))
-    return DivergibleValue.combine(parts)
+def split_at_one(mu: RadialMeasure) -> tuple[RadialMeasure | None, float]:
+    """Split nu = nu1 + nu({1}) delta_1; returns (nu1 or None when zero, mass at 1)."""
+    mass = mu.mass_at_one
+    if mass == 0.0:
+        return mu, 0.0
+    kept_atoms = tuple(a for a in mu.atoms if a.x != 1.0)
+    if not kept_atoms and not mu.densities:
+        return None, mass
+    return RadialMeasure(kept_atoms, mu.densities), mass
+
+
+def _moment_below_one(mu: RadialMeasure, variant: str) -> DivergibleValue:
+    """The s = 1 singular moment over [0, 1): atoms at 1 contribute nothing."""
+    rest, _ = split_at_one(mu)
+    return DivergibleValue.finite(0.0) if rest is None else singular_moment(rest, 1.0, variant)
 
 
 def hyperbolic_integral(mu: RadialMeasure) -> DivergibleValue:
     """integral over [0, 1) of (1 - r^2)^-1 d nu; atoms at 1 contribute nothing."""
-    def for_power(d: PowerDensity) -> DivergibleValue:
-        if d.beta <= 0.0:
-            return DivergibleValue.divergent(-d.beta)
-        umin = 2.0 ** (-cns.MEASURE_DEPTH_ZERO)
-        u, g = panel_rule(geometric_breaks(umin, 1.0), cns.MEASURE_ORDER)
-        val = float(np.dot(g * d.kappa * u ** (d.beta - 1.0), 1.0 / (2.0 - u)))
-        val += d.kappa * umin ** d.beta / (2.0 * d.beta)
-        return DivergibleValue.finite(val)
-
-    return _gap_weighted_integral(
-        mu,
-        integrand=lambda u: 1.0 / (u * (2.0 - u)),
-        power_growth=for_power,
-        atom_value=lambda a: a.mass / (1.0 - a.x * a.x),
-    )
+    return _moment_below_one(mu, "disk")
 
 
 def reciprocal_gap_integral(mu: RadialMeasure) -> DivergibleValue:
     """integral over [0, 1) of (1 - r)^-1 d nu (enters the c = 2 kernel constants)."""
-    def for_power(d: PowerDensity) -> DivergibleValue:
-        if d.beta <= 0.0:
-            return DivergibleValue.divergent(-d.beta)
-        return DivergibleValue.finite(d.kappa / d.beta)
-
-    return _gap_weighted_integral(
-        mu,
-        integrand=lambda u: 1.0 / u,
-        power_growth=for_power,
-        atom_value=lambda a: a.mass / (1.0 - a.x),
-    )
+    return _moment_below_one(mu, "gap")
 
 
 # ---------------------------------------------------------------------------
-# named catalog and seeded generator (shared by tests and verify suites)
+# named catalog (shared by tests and verify suites)
 # ---------------------------------------------------------------------------
 
 def catalog() -> dict[str, RadialMeasure]:
@@ -810,22 +793,3 @@ def catalog() -> dict[str, RadialMeasure]:
         "power_0.5": RadialMeasure.power(1.0, 0.5),
         "lebesgue_plus_atom1": RadialMeasure.lebesgue() + RadialMeasure.dirac(1.0, 0.5),
     }
-
-
-def random_catalog_measure(rng: np.random.Generator, allow_atom_at_one: bool = True) -> RadialMeasure:
-    """Random mixture of catalog components for property-style sweeps."""
-    atoms, densities = [], []
-    n = rng.integers(1, 4)
-    for _ in range(n):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            x = float(rng.uniform(0.0, 1.0))
-            if allow_atom_at_one and rng.random() < 0.15:
-                x = 1.0
-            atoms.append(Atom(x, float(rng.lognormal(0.0, 0.5))))
-        elif kind == 1:
-            densities.append(PowerDensity(float(rng.lognormal(0.0, 0.5)),
-                                          float(rng.uniform(-0.9, 1.5))))
-        else:
-            densities.append(NuAlphaDensity(float(rng.uniform(1.05, 1.95))))
-    return RadialMeasure(tuple(atoms), tuple(densities))

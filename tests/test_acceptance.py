@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_catalog_measure
 from shimorin_lab.kernel import (
     _quadrature_resolvent,
     cz_pointwise_reports,
@@ -27,7 +28,6 @@ from shimorin_lab.measure import (
     RadialMeasure,
     catalog,
     critical_index,
-    random_catalog_measure,
 )
 from shimorin_lab.multiplier import (
     _quadrature_moments,

@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import hyp2f1
 
+from conftest import random_catalog_measure
 from shimorin_lab.measure import (
     Atom,
+    DivergibleValue,
     NuAlphaDensity,
     PowerDensity,
     RadialMeasure,
     TabulatedDensity,
     carleson_constant,
     critical_index,
+    _ladder,
     hyperbolic_integral,
-    random_catalog_measure,
     reciprocal_gap_integral,
     singular_moment,
     tail_mass,
@@ -181,7 +183,7 @@ class TestURule:
         # the ladder keeps u >= eps, so it drops the analytic sub-mesh tail
         # (the first-order tail for nu_alpha) and nothing else
         for eps in (1e-2, 1e-7, 2.0 ** -60):
-            u, w = density.u_rule(eps, 40, 16)
+            u, w = density.u_rule(eps, 16)
             below = u < eps
             assert below.sum() == 1 and u.min() > 0.0
             assert w[below][0] == pytest.approx(density.tail(eps), rel=2 * eps + 1e-12)
@@ -223,6 +225,16 @@ class TestCriticalIndex:
             assert 1.0 <= c <= 2.0
             if any(a.x == 1.0 for a in mu.atoms):
                 assert c == 1.0
+
+    def test_power_sup_not_attained(self):
+        # the disk moment at s0 = beta + 1 (or 1) diverges, however beta + 1 rounds
+        for b in (*np.linspace(-0.95, 0.0, 96), -0.3, -1e-3):
+            assert critical_index(RadialMeasure.power(1.0, float(b))).attained == "no"
+
+    def test_power_sup_attained_for_positive_beta(self):
+        # s0 = 1 and the hyperbolic integral is finite, even where 1 + beta rounds to 1
+        for b in (1e-20, 1e-16, 0.3, 2.0):
+            assert critical_index(RadialMeasure.power(1.0, b)).attained == "yes"
 
     def test_mixture_minimum_rule(self):
         mu = RadialMeasure.power(1.0, -0.5) + RadialMeasure.nu_alpha(1.2)
@@ -357,6 +369,43 @@ class TestHyperbolic:
     def test_reciprocal_gap(self, cat):
         v = reciprocal_gap_integral(cat["power_0.5"])
         assert v.is_finite and v.value == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("kappa", [0.7, 1.0])
+    @pytest.mark.parametrize("b", [0.01, 0.05, 0.2, 0.5, 1.0, 3.0])
+    def test_power_against_mpmath(self, kappa, b):
+        # kappa/(2 beta) 2F1(1, beta; beta + 1; 1/2) at 40 digits
+        with mp.workdps(40):
+            expect = float(mp.mpf(kappa) / (2 * mp.mpf(b)) * mp.hyp2f1(1, b, b + 1, 0.5))
+        v = hyperbolic_integral(RadialMeasure.power(kappa, b))
+        assert v.is_finite and abs(v.value - expect) <= 2e-15 * expect
+
+    @pytest.mark.parametrize("kappa, b", [(1.0, 0.05), (0.7, 0.2), (1.0, 3.0), (2.5, 0.01),
+                                         (1.0, 1e-20)])
+    def test_reciprocal_gap_power_is_kappa_over_beta(self, kappa, b):
+        v = reciprocal_gap_integral(RadialMeasure.power(kappa, b))
+        assert v.is_finite and v.value == kappa / b
+
+    @pytest.mark.parametrize("integral", [hyperbolic_integral, reciprocal_gap_integral])
+    def test_atom_at_one_adds_nothing(self, cat, integral):
+        for name in ("delta_half", "power_0.5", "lebesgue", "nu_alpha_1.5"):
+            assert integral(cat[name] + RadialMeasure.dirac(1.0, 3.0)) == integral(cat[name])
+        assert integral(cat["delta1"]) == DivergibleValue.finite(0.0)
+
+    def test_tabulated_is_the_ladder(self):
+        r = np.linspace(0.0, 0.99, 200)
+        d = TabulatedDensity(tuple(r), tuple(1.0 + r * r))
+        mu = RadialMeasure(densities=(d,))
+        for integral, integrand in ((hyperbolic_integral, lambda u: 1.0 / (u * (2.0 - u))),
+                                    (reciprocal_gap_integral, lambda u: 1.0 / u)):
+            got, want = integral(mu), _ladder(d, integrand)
+            assert got.is_finite and want.is_finite
+            assert got.value == pytest.approx(want.value, rel=1e-14)
+
+    def test_singular_moment_range_ends_at_one(self, cat):
+        assert singular_moment(cat["power_0.5"], 1.0, "gap").value == 2.0
+        for s in (-1e-12, 1.0 + 1e-12, 2.0):
+            with pytest.raises(ValueError):
+                singular_moment(cat["power_0.5"], s)
 
 
 class TestJsonSchema:

@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from conftest import random_catalog_measure
 from shimorin_lab.measure import (
     NuAlphaDensity,
     PowerDensity,
     RadialMeasure,
     TabulatedDensity,
     catalog,
-    random_catalog_measure,
     total_mass,
 )
 from shimorin_lab.multiplier import (

@@ -26,10 +26,6 @@ class TestTaylorFunction:
         assert f(0.5) == pytest.approx(1 + 1 + 0.75)
         assert f.derivative()(0.5) == pytest.approx(2 + 3)
 
-    def test_truncate_series(self):
-        f = TaylorFunction.truncate_series(lambda n: 0.5 ** n, radius=0.9)
-        assert f(0.5) == pytest.approx(1.0 / (1.0 - 0.25), rel=1e-10)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             TaylorFunction.from_array([])
@@ -100,7 +96,7 @@ class TestRadialRoute:
         assert got == pytest.approx(0.4, rel=1e-12)
 
     def test_geometric_series_vs_multiplier(self, cat):
-        f = TaylorFunction.truncate_series(lambda n: 0.5 ** n, radius=0.7, tol=1e-14)
+        f = TaylorFunction.from_array(0.5 ** np.arange(256))
         mu = cat["lebesgue"]
         got = apply_radial(mu, f, 0.7)
         expect = apply_multiplier(mu, f)(0.7)
