@@ -72,9 +72,10 @@ def geometric_breaks(lo: float, hi: float) -> np.ndarray:
 
 
 # Elements per block of the point loops (resolvent_sum, kernel._nested_radial):
-# the few float64 temporaries of a block (256 KB each) stay in a core's L2
-# cache, where one (points x nodes) complex matrix would not.
-BLOCK = 1 << 15
+# the float64 temporaries of a block (64 KiB each) stay below glibc's 128 KiB
+# mmap threshold, so a fresh process does not pay an mmap and page faults for
+# each, and the loop costs the same whatever the process freed before.
+BLOCK = 1 << 13
 
 
 def resolvent_sum(u: np.ndarray, weights: np.ndarray, w: np.ndarray,

@@ -45,8 +45,12 @@ __all__ = [
     "bloch_seminorm",
 ]
 
-# element cap on one sampled block (and on one callback invocation)
+# element cap on one block (and one callback invocation) of the polar sampler
 _CHUNK = 1 << 19
+# node cap on one block of DiskRule.iter_blocks: a complex temporary of the
+# caller's point loop (64 KiB) stays below glibc's 128 KiB mmap threshold, so
+# its cost does not depend on what the process freed before
+_NODE_BLOCK = 1 << 12
 # geometric tau grid of the weak-L^q quasi-norm
 _TAU_POINTS = 200
 
@@ -147,16 +151,14 @@ class DiskRule:
         return self.radial_nodes.size * self.angular_count
 
     def iter_blocks(self):
-        """Yield (nodes, weights) blocks covering the rule, memory-capped."""
+        """Yield flat (nodes, weights) blocks of at most ``_NODE_BLOCK`` nodes
+        covering the rule, circle by circle."""
         M = self.angular_count
         phase = _circle(M)
-        rows = max(1, _CHUNK // M)
-        for lo in range(0, self.radial_nodes.size, rows):
-            rho = self.radial_nodes[lo:lo + rows]
-            w = self.radial_weights[lo:lo + rows]
-            nodes = rho[:, None] * phase[None, :]
-            weights = np.broadcast_to((w / M)[:, None], nodes.shape)
-            yield nodes.ravel(), weights.ravel()
+        count = self.node_count()
+        for lo in range(0, count, _NODE_BLOCK):
+            i, k = np.divmod(np.arange(lo, min(lo + _NODE_BLOCK, count)), M)
+            yield self.radial_nodes[i] * phase[k], self.radial_weights[i] / M
 
 
 def _circle(M: int) -> np.ndarray:

@@ -11,17 +11,26 @@ representation (measures with no atom at 1):
 The two resolvent integrals F(w) = integral (1 - r w)^-1 d nu and
 F'(w) = integral r (1 - r w)^-2 d nu are summed per component: atoms exactly;
 nu_alpha densities and power densities with beta = 0 (kappa times Lebesgue)
-in closed form, F = (1 - w)^(1-alpha) and F = -kappa log1p(-w)/w; power
-densities with beta != 0 on a rule per octave of |1 - w| whose Gauss-Jacobi
-panel at u = 0 carries u^beta exactly (``PowerDensity.resolvent``); tabulated
-densities on their grid. Both quadratures run in real arithmetic on
-cache-sized blocks (``_gridquad.resolvent_sum``). The nested
+in closed form, F = (1 - w)^(1-alpha) (in real arithmetic) and
+F = -kappa log1p(-w)/w; power densities with beta != 0 on a rule per octave
+of |1 - w| whose Gauss-Jacobi panel at u = 0 carries u^beta exactly
+(``PowerDensity.resolvent``); tabulated densities on their grid. Both
+quadratures run in real arithmetic on small blocks
+(``_gridquad.resolvent_sum``). The nested
 double-integral route (whose inner integral runs on ``_nested_radial``, the
 engine of operator.apply_radial too) and the upper side of the norm envelope
 stay on the graded u-rule for every density, so on a catalog measure they
-cross-check both. L^p norms of K(z, .) use a dedicated polar
-rule graded toward the near-singular direction (a uniform angular grid would
-need ~1/(1-|z|) nodes); by rotation invariance the norm depends on |z| only. The module also predicts the Calderon-Zygmund size and
+cross-check both.
+
+L^p norms of K(z, .) use a dedicated polar rule sized to the gap 1 - |z| (a
+uniform angular grid would need ~1/(1-|z|) nodes); by rotation invariance the
+norm depends on |z| only. Radial panels halve toward rho = 1 down to
+1 - 2^-d, d = ceil(log2(1/gap)) + 2, then one last panel; angular panels
+double away from one Gauss panel on [0, gap/16]. The error reached on nu_alpha
+is stated with ``constants.KERNEL_NORM_BUDGET``. The Forelli-Rudin check
+shares this mesh, with a Gauss-Jacobi last radial panel carrying (1 - rho)^t.
+
+The module also predicts the Calderon-Zygmund size and
 smoothness constants from the measure's critical index and verifies every
 pointwise/norm bound on seeded point clouds, reporting margins and witnesses.
 """
@@ -35,7 +44,14 @@ from typing import Union
 import numpy as np
 
 from . import constants as cns
-from ._gridquad import BLOCK, gauss_rule, geometric_breaks, panel_rule, resolvent_sum
+from ._gridquad import (
+    BLOCK,
+    gauss_rule,
+    geometric_breaks,
+    jacobi_rule,
+    panel_rule,
+    resolvent_sum,
+)
 from .measure import (
     RadialMeasure,
     critical_index,
@@ -214,25 +230,37 @@ def double_integral_eval(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
 # L^p norms of K(z, .): graded polar quadrature
 # ---------------------------------------------------------------------------
 
-def _graded_polar(s: float, order: int = 8):
+# Gauss order per panel of the polar rules
+_POLAR_ORDER = 8
+
+
+def _polar_radii(gap: float) -> np.ndarray:
+    """Radial breaks 1 - 2^-k, k = 0..d, with d = ceil(log2(1/gap)) + 2: every
+    panel of the polar rule but the last one, [1 - 2^-d, 1]."""
+    depth = int(np.ceil(-np.log2(gap))) + 2
+    return 1.0 - 2.0 ** (-np.arange(depth + 1, dtype=float))
+
+
+def _polar_angles(gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Angular nodes on [0, pi], one Gauss panel on [0, gap/16] and panels
+    doubling from there, weights divided by pi (the integrand is even in theta)."""
+    breaks = np.concatenate(([0.0], geometric_breaks(gap / 16.0, np.pi)))
+    theta, w = panel_rule(breaks, _POLAR_ORDER)
+    return theta, w / np.pi
+
+
+def _graded_polar(s: float):
     """Polar rule resolving |1 - s*rho*e^(i theta)|-type concentration at theta=0.
 
     Returns (rho, w_rho, theta, w_theta) with the area factors folded in so that
     integral g dA ~ sum_ij w_rho[i] w_theta[j] g(rho_i e^(i theta_j)) for g even
-    in theta.
+    in theta. Both meshes are sized to the gap 1 - s: radial panels halve
+    toward rho = 1 down to a last panel a few times narrower than the gap, and
+    angular panels double away from a first panel [0, gap/16].
     """
     gap = max(1.0 - s, 1e-15)
-    depth = int(max(25, np.ceil(-np.log2(gap)) + 12))
-    rb = np.concatenate((1.0 - 2.0 ** (-np.arange(depth + 1, dtype=float)), [1.0]))
-    rho, g = panel_rule(rb, order)
-    w_rho = g * 2.0 * rho
-    tmin = gap / 256.0
-    tb = geometric_breaks(tmin, np.pi)
-    theta, gt = panel_rule(tb, order)
-    # symmetric doubling plus the [0, tmin] sliver as a pseudo-node
-    theta = np.concatenate(([tmin / 2.0], theta))
-    w_theta = np.concatenate(([tmin], gt)) / np.pi
-    return rho, w_rho, theta, w_theta
+    rho, g = panel_rule(np.append(_polar_radii(gap), 1.0), _POLAR_ORDER)
+    return (rho, g * 2.0 * rho, *_polar_angles(gap))
 
 
 def kernel_lp_norm(mu: RadialMeasure, z, p: float) -> float:
@@ -377,9 +405,20 @@ def forelli_rudin_check(t_exp: float, c_exp: float, z) -> tuple[float, float]:
     if t_exp <= -1.0 or c_exp <= 0.0:
         raise ValueError("need t > -1 and c > 0")
     s = float(np.abs(z))
-    rho, w_rho, theta, w_theta = _graded_polar(s)
+    gap = max(1.0 - s, 1e-15)
+    breaks = _polar_radii(gap)
+    rho, g = panel_rule(breaks, _POLAR_ORDER)
+    g *= (1.0 - rho * rho) ** t_exp
+    # the last panel [1 - h, 1] in v = 1 - rho carries v^t exactly (Gauss-Jacobi),
+    # (1 - rho^2)^t = v^t (2 - v)^t
+    h = 1.0 - breaks[-1]
+    x, gj = jacobi_rule(_POLAR_ORDER, t_exp)
+    v = h * x
+    rho = np.concatenate((rho, 1.0 - v))
+    w_rho = np.concatenate((g, h ** (t_exp + 1.0) * gj * (2.0 - v) ** t_exp)) * 2.0 * rho
+    theta, w_theta = _polar_angles(gap)
     w = s * rho[:, None] * np.exp(-1j * theta)[None, :]
-    vals = (1.0 - rho * rho)[:, None] ** t_exp / np.abs(1.0 - w) ** (2.0 + c_exp + t_exp)
+    vals = np.abs(1.0 - w) ** -(2.0 + c_exp + t_exp)
     integral = float(w_rho @ vals @ w_theta)
     return integral, (1.0 - s * s) ** (-c_exp)
 

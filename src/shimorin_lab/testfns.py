@@ -399,12 +399,23 @@ def ratio_sweep(mu: RadialMeasure, p: float, q: float, family: str,
     return results, sweep_verdict([r.ratio for r in results])
 
 
+def _parseval_area(tf: TaylorFunction) -> float:
+    """integral |tf|^2 dA = sum |c_n|^2 / (n + 1) (Parseval), exact."""
+    c = tf.coefficients
+    return float(np.sum((c.real ** 2 + c.imag ** 2) / np.arange(1.0, c.size + 1.0)))
+
+
 def subharmonic_transfer_report(mu: RadialMeasure, t: float, q: float,
                                 strict: bool = True) -> KernelBoundReport:
-    """Mean-value transfer |T f(z_t)|^q <= (16/t^2) integral |T f|^q dA, indicator family."""
+    """Mean-value transfer |T f(z_t)|^q <= (16/t^2) integral |T f|^q dA, indicator family.
+
+    At q = 2 the area integral is Parseval's sum |c_n|^2 / (n + 1) over the
+    Taylor coefficients of T f, exact; other q run ``lp_norm`` on the series rule.
+    """
     z_t = math.sqrt(1.0 - t)
     tf = indicator_response(mu, t)
     lhs = abs(complex(tf(z_t))) ** q
-    rhs = (16.0 / (t * t)) * lp_norm(tf, q, _series_rule(t)) ** q
+    area = _parseval_area(tf) if q == 2.0 else lp_norm(tf, q, _series_rule(t)) ** q
+    rhs = (16.0 / (t * t)) * area
     return bound_report(f"subharmonic-transfer[t={t}]", np.array([lhs]),
                         np.array([rhs]), (np.array([z_t]),), strict)

@@ -9,6 +9,7 @@ from shimorin_lab.diskquad import (
     QuadratureNonconvergence,
     SampledFunction,
     TaylorFunction,
+    _circle,
     _circle_blocks,
     bloch_seminorm,
     distribution_function,
@@ -36,6 +37,18 @@ class TestRule:
     def test_nodes_inside_disk(self, rule):
         assert np.all(rule.radial_nodes >= 0.0)
         assert np.all(rule.radial_nodes < 1.0)
+
+    @pytest.mark.parametrize("depth, order, M", [(22, 8, 128), (3, 4, 1000), (1, 2, 5000)])
+    def test_blocks_tile_the_rule(self, depth, order, M):
+        # circle by circle, at most 2^12 nodes per block, whatever M
+        r = DiskRule.make(depth, order, M)
+        blocks = list(r.iter_blocks())
+        assert max(nodes.size for nodes, _ in blocks) <= 1 << 12
+        nodes = np.concatenate([b[0] for b in blocks])
+        weights = np.concatenate([b[1] for b in blocks])
+        assert np.array_equal(nodes, (r.radial_nodes[:, None] * _circle(M)).ravel())
+        assert np.array_equal(weights, np.repeat(r.radial_weights / M, M))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_refinement_hook(self, rule):
         finer = rule.refined

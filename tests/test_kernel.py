@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from shimorin_lab import constants as cns
 from shimorin_lab._gridquad import resolvent_sum
 from shimorin_lab.diskquad import DiskRule, lp_norm
 from shimorin_lab.kernel import (
@@ -131,6 +132,25 @@ class TestResolvent:
                             ref = 1.3 / (b + 1) * mpmath.hyp2f1(1, 1, b + 2, x)
                         ref = complex(ref)
                     assert abs(g - ref) <= 1e-13 * abs(ref), (s, x, derivative)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.99])
+    def test_nu_alpha_against_mpmath(self, alpha):
+        # (1 - w)^(1-alpha) and its derivative (alpha - 1)(1 - w)^-alpha on the
+        # principal branch, |1 - w| from 1e-12 to 2 inside the disk, w = 0 and real w
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(59)
+        g = 10.0 ** rng.uniform(-12.0, np.log10(2.0), 200)
+        phi = 0.999 * np.arccos(g / 2.0) * rng.uniform(-1.0, 1.0, 200)
+        real = np.array([0.0, 0.3, -0.5, -0.999999, 0.999, 1.0 - 1e-12])
+        w = np.concatenate((1.0 - g * np.exp(1j * phi), real))
+        density = NuAlphaDensity(alpha)
+        for derivative in (False, True):
+            got = density.resolvent(w, derivative)
+            for v, x in zip(got, w):
+                with mpmath.workdps(30):
+                    gap, a = 1 - mpmath.mpc(x.real, x.imag), mpmath.mpf(alpha)
+                    ref = complex((a - 1) * gap ** -a if derivative else gap ** (1 - a))
+                assert abs(v - ref) <= 1e-15 * abs(ref), (x, derivative)
 
     def test_no_closed_form_outside_the_catalog(self):
         w = np.array([0.5 + 0.1j])
@@ -291,6 +311,19 @@ class TestKernelNorm:
         val = kernel_lp_norm(cat["delta0"], 0.9, 2.0)
         assert np.isfinite(val) and 1.0 < val < 10.0
 
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 1.99])
+    def test_nu_alpha_against_mpmath(self, alpha):
+        # ||(1 - z conj(lam))^-alpha||_p = 2F1(alpha p/2, alpha p/2; 2; |z|^2)^(1/p)
+        mpmath = pytest.importorskip("mpmath")
+        mu = RadialMeasure.nu_alpha(alpha)
+        for s in (0.05, 0.3, 0.5, 0.9, 0.99, 0.999, 0.9999):
+            for p in (1.05, 1.5, 2.0, 3.0, 8.0):
+                with mpmath.workdps(30):
+                    a = mpmath.mpf(alpha) * p / 2
+                    ref = float(mpmath.hyp2f1(a, a, 2, mpmath.mpf(s) ** 2) ** (1 / mpmath.mpf(p)))
+                got = kernel_lp_norm(mu, s, p)
+                assert abs(got - ref) <= cns.KERNEL_NORM_BUDGET * ref, (s, p)
+
     def test_overflow_raises_without_warning(self):
         # |K|^2 overflows double precision; the norm raises, as
         # diskquad.lp_norm does, with no RuntimeWarning (errors in the suite)
@@ -414,6 +447,19 @@ class TestForelliRudin:
         i1, s1 = forelli_rudin_check(0.0, 2.0, 0.9)
         i2, s2 = forelli_rudin_check(0.0, 2.0, 0.99)
         assert (i2 / s2) == pytest.approx(i1 / s1, rel=3.0)  # within a factor 4
+
+    @pytest.mark.parametrize("t", [-0.9, -0.5, 0.0, 1.0])
+    def test_against_mpmath(self, t):
+        # integral (1-|lam|^2)^t |1 - z conj(lam)|^-(2+c+t) dA = 2F1(a, a; t+2; |z|^2)/(t+1)
+        # with a = (2+c+t)/2, the factor (1 - rho^2)^t singular at rho = 1 for t < 0
+        mpmath = pytest.importorskip("mpmath")
+        for c in (0.5, 1.0, 2.0):
+            for z in (0.0, 0.5, 0.9, 0.99, 0.999):
+                with mpmath.workdps(30):
+                    a = (2 + c + mpmath.mpf(t)) / 2
+                    ref = float(mpmath.hyp2f1(a, a, t + 2, mpmath.mpf(z) ** 2) / (t + 1))
+                integral, _ = forelli_rudin_check(t, c, z)
+                assert abs(integral - ref) <= 1e-10 * ref, (c, z)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from shimorin_lab.operator import TaylorFunction, apply_multiplier, bergman_memb
 from shimorin_lab.testfns import (
     C_ZERO,
     C_ZERO_TILDE,
+    _parseval_area,
     _series_rule,
     aligned_testfn,
     block_testfn,
@@ -244,6 +245,15 @@ class TestRatioExperiments:
     def test_subharmonic_transfer(self, cat):
         for t in (0.25, 0.1):
             assert subharmonic_transfer_report(cat["lebesgue"], t, 4.0).passed
+
+    @pytest.mark.parametrize("name", ["nu_alpha_1.5", "power_-0.5"])
+    def test_parseval_area_matches_quadrature(self, cat, name):
+        # the q = 2 side of the transfer report is Parseval's sum, not quadrature
+        for t in (0.25, 0.125):
+            tf = indicator_response(cat[name], t)
+            quad = lp_norm(tf, 2.0, _series_rule(t)) ** 2
+            assert abs(_parseval_area(tf) - quad) <= 1e-13 * quad
+            assert subharmonic_transfer_report(cat[name], t, 2.0).passed
 
     def test_bounded_region_sweep_plateaus(self, cat):
         # boundedness clause at p=1, q=1.2 < c = 4/3 for power beta=-0.5
