@@ -6,7 +6,9 @@ one graded-mesh engine serves every module: split the interval into geometric
 panels toward the singular end(s), put a fixed-order Gauss rule on each panel,
 and either account for the sub-mesh tail analytically or cover it with one
 Gauss-Jacobi panel that carries an endpoint power exactly. The module also
-holds the one loop that sums a u-rule against the resolvent (1 - r w)^-1.
+holds the two sums of a u-rule (u_j, c_j) in u = 1 - r that the measure
+components share: against the resolvent (1 - r w)^-1 (``resolvent_sum``) and
+against the multiplier integrand (1 - r^(n+1)) / ((n+1)(1 - r)) (``moment_sum``).
 """
 
 from __future__ import annotations
@@ -116,6 +118,32 @@ def resolvent_sum(u: np.ndarray, weights: np.ndarray, w: np.ndarray,
             b *= d
             out.real[sl] = a @ fac
             out.imag[sl] = -(b @ fac)
+    return out
+
+
+# elements per (indices x nodes) block of moment_sum (2 MB temporaries)
+_MOMENT_BLOCK = 1 << 18
+
+
+def moment_sum(u: np.ndarray, weights: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """sum_j c_j (1 - (1-u_j)^(n+1)) / ((n+1) u_j) over a rule (u_j, c_j) in u = 1 - r,
+    for each index of the array n, on blocks of about ``_MOMENT_BLOCK`` elements.
+
+    The integrand is -expm1((n+1) log1p(-u)) / ((n+1) u), stable for tiny u.
+    A tabulated grid may hold the endpoints: u = 1 (r = 0) gives log1p(-1) =
+    -inf and the exact 1/(n+1); u = 0 (r = 1) gives 0/0, set to its limit 1.
+    """
+    out = np.empty(len(n))
+    at_one = u == 0.0
+    rows = max(1, _MOMENT_BLOCK // max(u.size, 1))
+    for lo in range(0, len(n), rows):
+        N = (np.asarray(n[lo:lo + rows], dtype=float) + 1.0)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lu = np.log1p(-u)[None, :]
+            vals = -np.expm1(N * lu) / (N * u[None, :])
+        if at_one.any():
+            vals[:, at_one] = 1.0
+        out[lo:lo + rows] = vals @ weights
     return out
 
 

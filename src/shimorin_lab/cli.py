@@ -153,14 +153,14 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
     no_atom1 = mu.mass_at_one == 0.0
 
     def kernel_checks():
-        yield "hermitian", lambda: [kr.hermitian_report(mu, seed, strict=False)]
-        yield "gap-ratio", lambda: [kr.ratio_bound_report(seed, strict=False)]
-        yield "universal-size", lambda: [kr.universal_size_report(mu, seed, strict=False)]
+        yield "hermitian", lambda: [kr.hermitian_report(mu, seed)]
+        yield "gap-ratio", lambda: [kr.ratio_bound_report(seed)]
+        yield "universal-size", lambda: [kr.universal_size_report(mu, seed)]
         if no_atom1:
-            yield "double-integral", lambda: [kr.representation_report(mu, seed, strict=False)]
-            yield "pnorm-envelope", lambda: kr.envelope_reports(mu, seed, n=20, strict=False)
+            yield "double-integral", lambda: [kr.representation_report(mu, seed)]
+            yield "pnorm-envelope", lambda: kr.envelope_reports(mu, seed, n=20)
         if not isinstance(kr.cz_constants(mu), kr.CzNotApplicable):
-            yield "cz-pointwise", lambda: kr.cz_pointwise_reports(mu, seed, strict=False)
+            yield "cz-pointwise", lambda: kr.cz_pointwise_reports(mu, seed)
 
     def multiplier_checks():
         def monotone():
@@ -168,20 +168,20 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
             lhs = seq.values[1:]
             rhs = seq.values[:-1] * (1.0 + 1e-13)
             n = np.arange(1, len(seq))
-            return [kr.bound_report("mn-nonincreasing", lhs, rhs, (n,), strict=False)]
+            return [kr.bound_report("mn-nonincreasing", lhs, rhs, (n,))]
 
         def envelope():
             n = np.unique(np.geomspace(1, 10000, 40).astype(int))
             seq = moment_prefix(mu, int(n.max()))
             lo, up = claim1_envelope(mu, n)
             m = seq.values[n]
-            r1 = kr.bound_report("claim1-lower", lo, m, (n,), strict=False)
+            r1 = kr.bound_report("claim1-lower", lo, m, (n,))
             # m_n may exceed I_n by rounding alone (the same sum in another
             # order when N u >= 1 on every node); within the 1e-13 allowance of
             # mn-nonincreasing the side is lifted to m_n, other margins unchanged
             near = m <= up * (1.0 + 1e-13)
             r2 = kr.bound_report("claim1-upper", m, np.where(near, np.maximum(up, m), up),
-                                 (n,), strict=False)
+                                 (n,))
             return [r1, r2]
 
         def routes():
@@ -190,7 +190,7 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
             n = np.unique(np.append(2 ** np.arange(14), 10000))
             quad = _quadrature_moments(dens, n)
             gap = np.abs(moments_at(dens, n) - quad)
-            return [kr.bound_report("mn-routes", gap, 1e-12 * quad, (n,), strict=False)]
+            return [kr.bound_report("mn-routes", gap, 1e-12 * quad, (n,))]
 
         yield "mn-monotone", monotone
         yield "claim1-envelope", envelope
@@ -205,13 +205,13 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
                 rows.append(kr.bound_report(
                     f"box-area[t={t}]",
                     np.array([abs(b.area - b.quadrature_area())]),
-                    np.array([1e-8 * b.area]), (np.array([t]),), strict=False))
+                    np.array([1e-8 * b.area]), (np.array([t]),)))
             return rows
 
         yield "box-area", area
-        yield "realpart-bounds", lambda: tf.realpart_bound_reports(seed, 500, strict=False)
+        yield "realpart-bounds", lambda: tf.realpart_bound_reports(seed, 500)
         if no_atom1:
-            yield "subharmonic", lambda: [tf.subharmonic_transfer_report(mu, t, 2.0, strict=False)
+            yield "subharmonic", lambda: [tf.subharmonic_transfer_report(mu, t, 2.0)
                                           for t in (0.25, 0.125)]
 
     if suite in ("kernel", "all"):

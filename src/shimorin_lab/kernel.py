@@ -9,18 +9,14 @@ representation (measures with no atom at 1):
     K(z, lam)   = integral (1-r)^-1 integral_r^1 (1 - t w)^-2 dt d nu(r)
 
 The two resolvent integrals F(w) = integral (1 - r w)^-1 d nu and
-F'(w) = integral r (1 - r w)^-2 d nu are summed per component: atoms exactly;
-nu_alpha densities and power densities with beta = 0 (kappa times Lebesgue)
-in closed form, F = (1 - w)^(1-alpha) (in real arithmetic) and
-F = -kappa log1p(-w)/w; power densities with beta != 0 on a rule per octave
-of |1 - w| whose Gauss-Jacobi panel at u = 0 carries u^beta exactly
-(``PowerDensity.resolvent``); tabulated densities on their grid. Both
-quadratures run in real arithmetic on small blocks
-(``_gridquad.resolvent_sum``). The nested
-double-integral route (whose inner integral runs on ``_nested_radial``, the
-engine of operator.apply_radial too) and the upper side of the norm envelope
-stay on the graded u-rule for every density, so on a catalog measure they
-cross-check both.
+F'(w) = integral r (1 - r w)^-2 d nu are linear in nu: ``_resolvent`` sums
+every component's own ``resolvent`` (measure.py), which is exact for atoms,
+nu_alpha densities and kappa times Lebesgue, a Gauss-Jacobi rule per octave
+of |1 - w| for power densities with beta != 0, and the grid of a tabulated
+density. The nested double-integral route (whose inner integral runs on
+``_nested_radial``, the engine of operator.apply_radial too) and the upper
+side of the norm envelope stay on the graded u-rule for every density, so on
+a catalog measure they cross-check both.
 
 L^p norms of K(z, .) use a dedicated polar rule sized to the gap 1 - |z| (a
 uniform angular grid would need ~1/(1-|z|) nodes); by rotation invariance the
@@ -37,6 +33,7 @@ pointwise/norm bound on seeded point clouds, reporting margins and witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -58,7 +55,6 @@ from .measure import (
     carleson_constant,
     reciprocal_gap_integral,
     singular_moment,
-    split_at_one,
     total_mass,
 )
 
@@ -72,10 +68,8 @@ __all__ = [
     "cz_constants",
     "CzConstants",
     "CzNotApplicable",
-    "split_at_one",
     "forelli_rudin_check",
     "KernelBoundReport",
-    "BoundViolation",
     "bound_report",
     "sample_boundary_pairs",
     "hermitian_report",
@@ -115,37 +109,22 @@ _SWEEP_DEPTH = 14
 def _quadrature_resolvent(mu: RadialMeasure, w: np.ndarray, derivative: bool) -> np.ndarray:
     """Density part of integral (1 - r w)^-1 d nu (or of integral r (1 - r w)^-2 d nu
     with ``derivative``) on mu's pushforward rule at the default depths, for a
-    flat complex array w. ``_resolvent`` sends only tabulated densities here,
-    whose rule is their grid whatever the depths.
+    flat complex array w. The tests hold the components' resolvents to this
+    independent route; ``_resolvent`` does not call it.
     """
     return resolvent_sum(*_cached_rule(mu), w, derivative)
 
 
 def _resolvent(mu: RadialMeasure, w, derivative: bool = False) -> np.ndarray:
     """integral (1 - r w)^-1 d nu(r), or with ``derivative`` its w-derivative
-    integral r (1 - r w)^-2 d nu(r), vectorized over w.
-
-    Summed per component: atoms exactly, catalog densities by their own
-    ``resolvent`` in measure.py, and tabulated densities on their grid by
-    ``_quadrature_resolvent``.
+    integral r (1 - r w)^-2 d nu(r), vectorized over w: the sum of every
+    component's own ``resolvent`` (measure.py).
     """
     w = np.asarray(w, dtype=complex)
     flat = w.ravel()
     out = np.zeros(flat.shape, dtype=complex)
-    for a in mu.atoms:
-        if derivative:
-            out += a.mass * a.x / (1.0 - a.x * flat) ** 2
-        else:
-            out += a.mass / (1.0 - a.x * flat)
-    rest = []
-    for d in mu.densities:
-        exact = d.resolvent(flat, derivative)
-        if exact is None:
-            rest.append(d)
-        else:
-            out += exact
-    if rest:
-        out += _quadrature_resolvent(RadialMeasure(densities=tuple(rest)), flat, derivative)
+    for component in mu.atoms + mu.densities:
+        out += component.resolvent(flat, derivative)
     return out.reshape(w.shape)
 
 
@@ -288,9 +267,21 @@ def pnorm_envelope(mu: RadialMeasure, z, p: float) -> tuple[float, float]:
     """Two-sided envelope for the kernel's L^p norm, 1 < p < infinity:
 
     lower = (1-|z|^2)^(2/p-1) * integral (1 - r|z|^2)^-1 d nu,
-    upper = integral (1-r)^-1 integral_r^1 (1 - t|z|^2)^(2/p-2) dt d nu,
+    upper = C_p integral (1-r)^-1 integral_r^1 (1 - t|z|^2)^(2/p-2) dt d nu,
+    C_p   = (Gamma(2p-2) / Gamma(p)^2)^(1/p),
 
     with the inner t-integral in closed form. Requires nu({1}) = 0.
+
+    The upper side: Minkowski's inequality on the double-integral form of K
+    bounds the norm by the nu- and t-integrals of the L^p norm of
+    (1 - t z conj(lam))^-2, whose p-th power is 2F1(p, p; 2; t^2 |z|^2).
+    Euler's transformation writes that as (1 - t^2|z|^2)^(2-2p)
+    2F1(2-p, 2-p; 2; t^2|z|^2); the last factor has non-negative
+    coefficients, so it is at most its value at 1, Gamma(2p-2)/Gamma(p)^2
+    (Gauss, as 2p - 2 > 0). Finally 1 - t^2 |z|^2 >= 1 - t |z|^2 on
+    t in [0, 1], and the exponent 2/p - 2 is negative. C_2 = 1. C_p is
+    sharp to a few percent: for p in [1.5, 8] and |z| <= 0.999 the norm
+    reaches 0.96-0.99 of this side for an atom at 0.999, and 0.99 for nu_1.99.
     """
     if not (1.0 < p < np.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
@@ -325,7 +316,8 @@ def pnorm_envelope(mu: RadialMeasure, z, p: float) -> tuple[float, float]:
     upper = float(np.dot(wt, inner_over_u(u)))
     for a in mu.atoms:
         upper += a.mass * float(inner_over_u(np.array([1.0 - a.x]))[0])
-    return lower, upper
+    c_p = math.exp((math.lgamma(2.0 * p - 2.0) - 2.0 * math.lgamma(p)) / p)
+    return lower, c_p * upper
 
 
 def supnorm_sandwich(mu: RadialMeasure, p: float) -> tuple[float, float, float]:
@@ -427,17 +419,6 @@ def forelli_rudin_check(t_exp: float, c_exp: float, z) -> tuple[float, float]:
 # bound reports
 # ---------------------------------------------------------------------------
 
-class BoundViolation(AssertionError):
-    """A recorded pair broke its inequality; carries the witness point."""
-
-    def __init__(self, name: str, witness, lhs: float, rhs: float):
-        super().__init__(f"{name}: lhs {lhs:.6e} > rhs {rhs:.6e} at {witness}")
-        self.bound_name = name
-        self.witness = witness
-        self.lhs = lhs
-        self.rhs = rhs
-
-
 @dataclass(frozen=True)
 class KernelBoundReport:
     """Outcome of checking lhs <= rhs over a sample cloud.
@@ -453,18 +434,14 @@ class KernelBoundReport:
     passed: bool
 
 
-def bound_report(name: str, lhs: np.ndarray, rhs: np.ndarray, points,
-                 strict: bool = True) -> KernelBoundReport:
-    """Check lhs <= rhs pointwise; with strict=True a violation aborts with its witness."""
+def bound_report(name: str, lhs: np.ndarray, rhs: np.ndarray, points) -> KernelBoundReport:
+    """Check lhs <= rhs pointwise; the report carries the worst margin and its witness."""
     lhs = np.asarray(lhs, dtype=float).ravel()
     rhs = np.asarray(rhs, dtype=float).ravel()
     margins = (rhs - lhs) / np.maximum(rhs, 1e-300)
     k = int(np.argmin(margins))
-    ok = bool(margins[k] >= 0.0)
     witness = tuple(np.asarray(p).ravel()[k] for p in points)
-    if not ok and strict:
-        raise BoundViolation(name, witness, float(lhs[k]), float(rhs[k]))
-    return KernelBoundReport(name, lhs.size, float(margins[k]), witness, ok)
+    return KernelBoundReport(name, lhs.size, float(margins[k]), witness, bool(margins[k] >= 0.0))
 
 
 def sample_boundary_pairs(rng: np.random.Generator, n: int, depth: float = 4.0
@@ -482,8 +459,7 @@ def sample_boundary_pairs(rng: np.random.Generator, n: int, depth: float = 4.0
     return rz * np.exp(1j * th), rl * np.exp(1j * (th + dth))
 
 
-def hermitian_report(mu: RadialMeasure, seed: int = 0, n: int = 1000,
-                     strict: bool = True) -> KernelBoundReport:
+def hermitian_report(mu: RadialMeasure, seed: int = 0, n: int = 1000) -> KernelBoundReport:
     """K(z, lam) = conj(K(lam, z)) to 1e-12 relative at seeded pairs."""
     rng = np.random.default_rng(seed)
     z, lam = sample_boundary_pairs(rng, n, depth=3.0)
@@ -491,43 +467,41 @@ def hermitian_report(mu: RadialMeasure, seed: int = 0, n: int = 1000,
     b = eval_kernel(mu, lam, z)
     scale = np.abs(a) + total_mass(mu)
     return bound_report("hermitian-symmetry", np.abs(a - np.conj(b)), 1e-12 * scale,
-                        (z, lam), strict)
+                        (z, lam))
 
 
-def ratio_bound_report(seed: int = 0, n: int = 1000, strict: bool = True) -> KernelBoundReport:
+def ratio_bound_report(seed: int = 0, n: int = 1000) -> KernelBoundReport:
     """|1 - z conj(lam)| <= 2 |1 - r z conj(lam)| at seeded (z, lam, r)."""
     rng = np.random.default_rng(seed)
     z, lam = sample_boundary_pairs(rng, n)
     r = rng.uniform(0.0, 1.0, n)
     w = z * np.conj(lam)
     return bound_report("gap-ratio<=2", np.abs(1.0 - w), 2.0 * np.abs(1.0 - r * w),
-                        (z, lam, r), strict)
+                        (z, lam, r))
 
 
-def universal_size_report(mu: RadialMeasure, seed: int = 0, n: int = 1000,
-                          strict: bool = True) -> KernelBoundReport:
+def universal_size_report(mu: RadialMeasure, seed: int = 0, n: int = 1000) -> KernelBoundReport:
     """|K| <= 2 nu([0,1]) / |1 - z conj(lam)|^2 everywhere sampled."""
     rng = np.random.default_rng(seed)
     z, lam = sample_boundary_pairs(rng, n)
     w = z * np.conj(lam)
     lhs = np.abs(eval_kernel(mu, z, lam))
     rhs = 2.0 * total_mass(mu) / np.abs(1.0 - w) ** 2
-    return bound_report("universal-size", lhs, rhs * (1.0 + 1e-12), (z, lam), strict)
+    return bound_report("universal-size", lhs, rhs * (1.0 + 1e-12), (z, lam))
 
 
-def representation_report(mu: RadialMeasure, seed: int = 0, n: int = 100,
-                          tol: float = 1e-7, strict: bool = True) -> KernelBoundReport:
-    """Direct kernel equals the nested double-integral route within tolerance."""
+def representation_report(mu: RadialMeasure, seed: int = 0, n: int = 100) -> KernelBoundReport:
+    """Direct kernel equals the nested double-integral route to 1e-7 relative."""
     rng = np.random.default_rng(seed)
     z, lam = sample_boundary_pairs(rng, n, depth=3.0)
     a = eval_kernel(mu, z, lam)
     b = double_integral_eval(mu, z, lam)
     return bound_report("double-integral-agreement", np.abs(a - b),
-                        tol * (np.abs(a) + total_mass(mu)), (z, lam), strict)
+                        1e-7 * (np.abs(a) + total_mass(mu)), (z, lam))
 
 
-def cz_pointwise_reports(mu: RadialMeasure, seed: int = 0, n: int = 1000,
-                         strict: bool = True) -> list[KernelBoundReport]:
+def cz_pointwise_reports(mu: RadialMeasure, seed: int = 0, n: int = 1000
+                         ) -> list[KernelBoundReport]:
     """Size and smoothness bounds with the predicted constants, boundary-concentrated."""
     pred = cz_constants(mu)
     if isinstance(pred, CzNotApplicable):
@@ -537,29 +511,24 @@ def cz_pointwise_reports(mu: RadialMeasure, seed: int = 0, n: int = 1000,
     gap = np.abs(1.0 - z * np.conj(lam))
     slack = 1.0 + 1e-11
     size = bound_report(f"cz-size[{pred.case}]", np.abs(eval_kernel(mu, z, lam)),
-                        slack * pred.size / gap ** pred.order, (z, lam), strict)
+                        slack * pred.size / gap ** pred.order, (z, lam))
     smooth = bound_report(f"cz-smooth[{pred.case}]", np.abs(eval_dz(mu, z, lam)),
-                          slack * pred.smooth / gap ** (pred.order + 1.0), (z, lam), strict)
+                          slack * pred.smooth / gap ** (pred.order + 1.0), (z, lam))
     return [size, smooth]
 
 
-def envelope_reports(mu: RadialMeasure, seed: int = 0, n: int = 50,
-                     rel_slack: float = 1e-4, strict: bool = True,
-                     p_range: tuple[float, float] = (1.5, 3.0)) -> list[KernelBoundReport]:
-    """Kernel norm between its envelope sides at seeded (z, p) pairs.
+# p range of envelope_reports: the one KERNEL_NORM_BUDGET was checked on
+_ENVELOPE_P = (1.05, 8.0)
 
-    Default p-range (1.5, 3.0): outside roughly [1.45, 3.2] the stated upper
-    side is numerically violated for catalog measures (the norm genuinely
-    exceeds it, e.g. by 55% at p = 1.05, |z| = 0.995 for Lebesgue), so the
-    envelope is only asserted on the band the downstream estimates use.
-    """
+
+def envelope_reports(mu: RadialMeasure, seed: int = 0, n: int = 50) -> list[KernelBoundReport]:
+    """Kernel norm between its envelope sides, to 1e-4 relative, at seeded (z, p)
+    pairs, p log-uniform on ``_ENVELOPE_P``."""
     rng = np.random.default_rng(seed)
     zs = rng.uniform(0.05, 0.98, n)  # norms depend on |z| only
-    ps = np.exp(rng.uniform(np.log(p_range[0]), np.log(p_range[1]), n))
+    ps = np.exp(rng.uniform(*np.log(_ENVELOPE_P), n))
     norms = np.array([kernel_lp_norm(mu, z, p) for z, p in zip(zs, ps)])
     los, ups = np.transpose([pnorm_envelope(mu, z, p) for z, p in zip(zs, ps)])
-    lo_rep = bound_report("pnorm-envelope-lower", los * (1.0 - rel_slack), norms,
-                          (zs, ps), strict)
-    up_rep = bound_report("pnorm-envelope-upper", norms, ups * (1.0 + rel_slack),
-                          (zs, ps), strict)
+    lo_rep = bound_report("pnorm-envelope-lower", los * (1.0 - 1e-4), norms, (zs, ps))
+    up_rep = bound_report("pnorm-envelope-upper", norms, ups * (1.0 + 1e-4), (zs, ps))
     return [lo_rep, up_rep]

@@ -4,13 +4,13 @@ The operator acts on Taylor coefficients as a_n -> m_n a_n with
 
     m_n = (n+1)^-1 * integral (1 - r^(n+1)) / (1 - r) d nu(r),
 
-a positive non-increasing sequence with m_0 = nu([0,1]). It is summed per
-component, in O(N) for N indices: atoms exactly, power and nu_alpha
-densities by their closed forms (``moments`` in measure.py), and tabulated
-densities by graded quadrature in u = 1 - r, writing the integrand as
-(1 - (1-u)^N) / (N u) (stable via expm1/log1p at both ends), Cauchy-checked
-against a finer rule. That quadrature (``_quadrature_moments``) also stays as
-the independent route the closed forms are checked against. The envelope
+a positive non-increasing sequence with m_0 = nu([0,1]). m_n is linear in
+nu, so it is the sum of every component's own ``moments`` (measure.py): atoms
+exactly, power and nu_alpha densities in closed form in O(N) for N indices,
+tabulated densities on their grid (``_gridquad.moment_sum``). The graded
+quadrature in u = 1 - r, Cauchy-checked against a finer rule
+(``_quadrature_moments``), is the independent route the closed forms are
+checked against. The envelope
 
     (1 - 1/e) * I_n <= m_n <= I_n,   I_n = integral min{1, 1/((n+1) t)} d mu~(t)
 
@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import constants as cns
+from ._gridquad import moment_sum
 from .measure import PowerDensity, RadialMeasure, total_mass
 
 __all__ = [
@@ -45,53 +46,9 @@ __all__ = [
     "dyadic_block_verdict",
 ]
 
-# elements per (indices x nodes) block of the moment quadrature (2 MB temporaries)
-_BLOCK = 1 << 18
-
 
 class QuadratureError(RuntimeError):
     """Raised when a moment quadrature misses its declared relative budget."""
-
-
-def _atom_moments(x: float, mass: float, n: np.ndarray) -> np.ndarray:
-    """mass * (1 - x^(n+1)) / ((n+1)(1-x)), handled stably at x in {0, 1}; the
-    expm1 form is within a few ulps at every n, where a cumulative sum of
-    powers drifts (2e-15 relative at x = 0.9999999 below n = 1000)."""
-    N = np.asarray(n) + 1.0
-    if x == 1.0:
-        return np.full(N.shape, mass, dtype=float)
-    if x == 0.0:
-        return mass / N
-    return mass * (-np.expm1(N * math.log(x))) / (N * (1.0 - x))
-
-
-def _density_integrand(u: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """(1 - (1-u)^(n+1)) / ((n+1) u) on a (n, u) grid, stable for tiny u.
-
-    A tabulated grid may hold the endpoints: u = 1 (r = 0) gives log1p(-1) =
-    -inf and the exact 1/(n+1); u = 0 (r = 1) gives 0/0, set to its limit 1.
-    """
-    N = (np.asarray(n, dtype=float) + 1.0)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lu = np.log1p(-u)[None, :]
-        out = -np.expm1(N * lu) / (N * u[None, :])
-    at_one = u == 0.0
-    if at_one.any():
-        out[:, at_one] = 1.0
-    return out
-
-
-def _density_moments(mu: RadialMeasure, n: np.ndarray, depth_zero: int,
-                     order: int) -> np.ndarray:
-    u, w = mu.pushforward_rule(depth_zero=depth_zero, order=order)
-    if u.size == 0:
-        return np.zeros(len(n))
-    out = np.empty(len(n))
-    rows = max(1, _BLOCK // u.size)
-    for lo in range(0, len(n), rows):
-        sl = slice(lo, lo + rows)
-        out[sl] = _density_integrand(u, n[sl]) @ w
-    return out
 
 
 def _depth_for(nmax: int) -> int:
@@ -105,9 +62,9 @@ class MultiplierSequence:
 
     Invariants checked on construction: m_0 equals the total mass, all values
     positive, and the sequence non-increasing (up to summation roundoff).
-    m_0 is the closed-form total mass itself, not a quadrature value (whose
-    last bits would depend on BLAS rounding and on N); m_1.. are closed forms
-    plus, for tabulated densities, quadrature.
+    m_0 is the closed-form total mass itself, not a grid sum (whose last bits
+    would depend on BLAS rounding and on N); m_1.. are closed forms plus, for
+    tabulated densities, sums on their grid.
     """
 
     measure: RadialMeasure
@@ -142,17 +99,17 @@ def _quadrature_moments(mu: RadialMeasure, n: np.ndarray) -> np.ndarray:
     The rule is graded for n.max(). Its values on the probe indices are
     compared with a rule 8 octaves deeper and 8 orders higher, and the order
     escalates before a QuadratureError; harsh density exponents (u^beta with
-    beta near -1) occasionally need the higher orders.
-    This is the independent route for catalog densities (whose moments have
-    closed forms) and the only route for tabulated ones.
+    beta near -1) occasionally need the higher orders. The closed forms of
+    the catalog densities are held to this independent route by the tests
+    and by ``verify``'s mn-routes check; ``_moments`` does not call it.
     """
     depth = _depth_for(int(n.max()))
     probe = _probe_indices(int(n.max()))
     both = np.concatenate((n, probe))
     err = np.inf
     for order in (cns.MEASURE_ORDER, cns.MEASURE_ORDER + 8, cns.MEASURE_ORDER + 16):
-        vals = _density_moments(mu, both, depth, order)
-        ref = _density_moments(mu, probe, depth + 8, order + 8)
+        vals = moment_sum(*mu.pushforward_rule(depth, order), both)
+        ref = moment_sum(*mu.pushforward_rule(depth + 8, order + 8), probe)
         err = np.max(np.abs(vals[len(n):] - ref) / np.maximum(np.abs(ref), 1e-300))
         if err <= cns.MOMENT_BUDGET:
             return vals[:len(n)]
@@ -162,31 +119,20 @@ def _quadrature_moments(mu: RadialMeasure, n: np.ndarray) -> np.ndarray:
 
 
 def _moments(mu: RadialMeasure, n: np.ndarray) -> np.ndarray:
-    """m_n on the index array n, summed per component.
+    """m_n on the index array n, the sum of every component's ``moments``.
 
-    Atoms and catalog densities are exact; densities without a closed form
-    go through ``_quadrature_moments`` on a rule graded for them alone.
     m_0 = nu([0,1]) is taken from the closed-form ``total_mass``, so it does
-    not change in its last bits with the route or the length of n.
+    not change in its last bits with the length of n.
     """
     vals = np.zeros(len(n))
-    for a in mu.atoms:
-        vals += _atom_moments(a.x, a.mass, n)
-    rest = []
-    for d in mu.densities:
-        exact = d.moments(n)
-        if exact is None:
-            rest.append(d)
-        else:
-            vals += exact
-    if rest:
-        vals += _quadrature_moments(RadialMeasure(densities=tuple(rest)), n)
+    for component in mu.atoms + mu.densities:
+        vals += component.moments(n)
     vals[n == 0] = total_mass(mu)
     return vals
 
 
 def moment(mu: RadialMeasure, n: int) -> float:
-    """m_n for a single index; any density quadrature is Cauchy-checked."""
+    """m_n for a single index."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return float(_moments(mu, np.array([n]))[0])
@@ -198,14 +144,14 @@ def _cached_prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:
 
 
 def moment_prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:
-    """m_0..m_N (monotonicity asserted); any quadrature shares one mesh."""
+    """m_0..m_N (monotonicity asserted)."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     return _cached_prefix(mu, int(N))
 
 
 def moments_at(mu: RadialMeasure, n) -> np.ndarray:
-    """m_n on an arbitrary index set (any quadrature on one mesh sized for the largest)."""
+    """m_n on an arbitrary index set."""
     n = np.atleast_1d(np.asarray(n, dtype=np.int64))
     if np.any(n < 0):
         raise ValueError("indices must be >= 0")

@@ -62,7 +62,6 @@ __all__ = [
     "ratio_sweep",
     "sweep_verdict",
     "indicator_response",
-    "indicator_response_at",
     "subharmonic_transfer_report",
 ]
 
@@ -240,8 +239,8 @@ def realpart_bounds_check(z, lam, r, t: float) -> dict[str, tuple[np.ndarray, np
 
 
 def realpart_bound_reports(seed: int = 0, n_per_t: int = 2000,
-                           t_values: Iterable[float] = (0.4, 0.2, 0.1, 0.05, 0.025),
-                           strict: bool = True) -> list[KernelBoundReport]:
+                           t_values: Iterable[float] = (0.4, 0.2, 0.1, 0.05, 0.025)
+                           ) -> list[KernelBoundReport]:
     """Seeded verification of all four lower bounds across the stated t-grid."""
     rng = np.random.default_rng(seed)
     reports = []
@@ -255,7 +254,7 @@ def realpart_bound_reports(seed: int = 0, n_per_t: int = 2000,
         witnesses = {True: (z[near], lam[near], r[near]), False: (z, lam, r)}
         for name, (lower, actual) in realpart_bounds_check(z, lam, r, t).items():
             pts = witnesses[name.endswith("near1")]
-            reports.append(bound_report(f"{name}[t={t}]", lower, actual, pts, strict))
+            reports.append(bound_report(f"{name}[t={t}]", lower, actual, pts))
     return reports
 
 
@@ -275,15 +274,6 @@ def indicator_response(mu: RadialMeasure, t: float, tol: float = 1e-14
     m = moment_prefix(mu, N).values
     coeffs = m * (n + 1.0) * b.conj_moments(n)
     return TaylorFunction.from_array(coeffs)
-
-
-def indicator_response_at(mu: RadialMeasure, t: float, z, route: str = "series") -> complex:
-    """T f_t(z) by the series route or by direct box quadrature of the kernel."""
-    if route == "series":
-        return complex(indicator_response(mu, t)(complex(z)))
-    if route != "direct":
-        raise ValueError(f"unknown route {route!r}")
-    return complex(_direct_response(mu, "indicator", t)(complex(z)))
 
 
 def _series_rule(t: float | None = None) -> DiskRule:
@@ -405,8 +395,7 @@ def _parseval_area(tf: TaylorFunction) -> float:
     return float(np.sum((c.real ** 2 + c.imag ** 2) / np.arange(1.0, c.size + 1.0)))
 
 
-def subharmonic_transfer_report(mu: RadialMeasure, t: float, q: float,
-                                strict: bool = True) -> KernelBoundReport:
+def subharmonic_transfer_report(mu: RadialMeasure, t: float, q: float) -> KernelBoundReport:
     """Mean-value transfer |T f(z_t)|^q <= (16/t^2) integral |T f|^q dA, indicator family.
 
     At q = 2 the area integral is Parseval's sum |c_n|^2 / (n + 1) over the
@@ -418,4 +407,4 @@ def subharmonic_transfer_report(mu: RadialMeasure, t: float, q: float,
     area = _parseval_area(tf) if q == 2.0 else lp_norm(tf, q, _series_rule(t)) ** q
     rhs = (16.0 / (t * t)) * area
     return bound_report(f"subharmonic-transfer[t={t}]", np.array([lhs]),
-                        np.array([rhs]), (np.array([z_t]),), strict)
+                        np.array([rhs]), (np.array([z_t]),))

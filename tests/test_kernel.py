@@ -14,7 +14,6 @@ from shimorin_lab.kernel import (
     _graded_polar,
     _resolvent,
     _rule_for_gap,
-    BoundViolation,
     CzConstants,
     CzNotApplicable,
     bound_report,
@@ -31,7 +30,6 @@ from shimorin_lab.kernel import (
     ratio_bound_report,
     representation_report,
     sample_boundary_pairs,
-    split_at_one,
     supnorm_sandwich,
     universal_size_report,
 )
@@ -41,6 +39,7 @@ from shimorin_lab.measure import (
     PowerDensity,
     RadialMeasure,
     TabulatedDensity,
+    split_at_one,
     total_mass,
 )
 
@@ -152,13 +151,29 @@ class TestResolvent:
                     ref = complex((a - 1) * gap ** -a if derivative else gap ** (1 - a))
                 assert abs(v - ref) <= 1e-15 * abs(ref), (x, derivative)
 
-    def test_no_closed_form_outside_the_catalog(self):
-        w = np.array([0.5 + 0.1j])
+    def test_every_density_has_a_resolvent(self):
+        w = np.array([0.5 + 0.1j, -0.3j])
         # every power density has a resolvent of its own; at beta = 1 it is
         # kappa (w + (1 - w) log(1 - w)) / w^2
         ref = 2.0 * (w + (1.0 - w) * np.log1p(-w)) / w ** 2
         assert PowerDensity(2.0, 1.0).resolvent(w, False) == pytest.approx(ref, rel=1e-14)
-        assert TabulatedDensity((0.0, 1.0), (1.0, 2.0)).resolvent(w, False) is None
+        # a tabulated density is its trapezoid grid: weight 1 at r = 1 (value 2,
+        # half-width 1/2) and 1/2 at r = 0
+        tab = TabulatedDensity((0.0, 1.0), (1.0, 2.0))
+        assert tab.resolvent(w, False) == pytest.approx(1.0 / (1.0 - w) + 0.5, rel=1e-15)
+        assert tab.resolvent(w, True) == pytest.approx(1.0 / (1.0 - w) ** 2, rel=1e-15)
+
+    def test_sum_of_the_components(self):
+        # _resolvent is the sum of every component's own resolvent, in order
+        comps = (Atom(0.4, 0.3), PowerDensity(1.2, -0.5), NuAlphaDensity(1.5),
+                 TabulatedDensity((0.0, 0.3, 0.7, 1.0), (1.0, 2.0, 0.5, 1.5)))
+        mu = RadialMeasure(comps[:1], comps[1:])
+        w = _boundary_and_small_w(43)
+        for derivative in (False, True):
+            parts = np.zeros(w.shape, dtype=complex)
+            for c in comps:
+                parts += c.resolvent(w, derivative)
+            assert np.array_equal(_resolvent(mu, w, derivative), parts)
 
     @pytest.mark.parametrize("mu", [
         RadialMeasure.power(1.0, 0.5),
@@ -332,10 +347,17 @@ class TestKernelNorm:
             kernel_lp_norm(mu, 0.9, 2.0)
 
 
+def _c_p(p: float) -> float:
+    """(Gamma(2p-2) / Gamma(p)^2)^(1/p), the constant of the envelope's upper side."""
+    return (math.gamma(2.0 * p - 2.0) / math.gamma(p) ** 2) ** (1.0 / p)
+
+
 class TestEnvelope:
     def test_delta0_center_collapses(self, cat):
+        # the norm and the lower side are 1; the upper side is C_1.5 =
+        # (Gamma(1) / Gamma(3/2)^2)^(2/3) = (4/pi)^(2/3) = 1.17474...
         lo, up = pnorm_envelope(cat["delta0"], 0.0, 1.5)
-        assert lo == pytest.approx(1.0) and up == pytest.approx(1.0)
+        assert lo == pytest.approx(1.0) and up == pytest.approx((4.0 / math.pi) ** (2.0 / 3.0))
 
     def test_lebesgue_lower_closed_form(self, cat):
         lo, _ = pnorm_envelope(cat["lebesgue"], math.sqrt(0.75), 1.5)
@@ -353,19 +375,28 @@ class TestEnvelope:
 
     def test_fractional_family_stressed_point(self, cat):
         # the norm sits inside the envelope at the stressed (z, p) = (0.99, 1.3)
-        # even though p = 1.3 is outside the band asserted in bulk
         n = kernel_lp_norm(cat["nu_alpha_1.5"], 0.99, 1.3)
         lo, up = pnorm_envelope(cat["nu_alpha_1.5"], 0.99, 1.3)
         assert lo <= n <= up
 
     def test_stated_upper_fails_outside_band(self, cat):
-        # documentation of the known defect: at p = 8 the norm genuinely
-        # exceeds the stated upper side even for the Hardy kernel
+        # the upper side needs its constant C_p: at p = 8 the norm exceeds the
+        # side with constant 1 (upper / C_p) even for the Hardy kernel
         mu = cat["delta0"]
         z, p = 0.55, 8.0
         norm = kernel_lp_norm(mu, z, p)
         _, up = pnorm_envelope(mu, z, p)
-        assert norm > up * 1.01
+        assert up / _c_p(p) < norm / 1.01
+        assert norm <= up
+
+    def test_upper_constant_is_sharp(self):
+        # an atom near 1 brings the norm within a few percent of C_p times
+        # the integral side (0.976 C_p at p = 3, |z| = 0.9)
+        mu = RadialMeasure.dirac(0.999)
+        norm = kernel_lp_norm(mu, 0.9, 3.0)
+        _, up = pnorm_envelope(mu, 0.9, 3.0)
+        side = up / _c_p(3.0)  # the integral side, constant 1
+        assert 0.9 * _c_p(3.0) < norm / side <= _c_p(3.0)
 
 
 class TestSupnormSandwich:
@@ -470,13 +501,12 @@ class TestForelliRudin:
 
 class TestBoundReport:
     def test_violation_carries_witness(self):
-        with pytest.raises(BoundViolation) as err:
-            bound_report("demo", np.array([1.0, 3.0]), np.array([2.0, 2.0]),
-                         (np.array([10.0, 20.0]),))
-        assert err.value.witness == (20.0,)
-        assert err.value.bound_name == "demo"
+        rep = bound_report("demo", np.array([1.0, 3.0]), np.array([2.0, 2.0]),
+                           (np.array([10.0, 20.0]),))
+        assert rep.witness == (20.0,)
+        assert rep.bound_name == "demo" and rep.n_samples == 2
 
-    def test_non_strict_returns_failed_report(self):
-        rep = bound_report("demo", np.array([3.0]), np.array([2.0]),
-                           (np.array([1.0]),), strict=False)
-        assert not rep.passed and rep.worst_margin < 0.0
+    def test_violation_returns_failed_report(self):
+        rep = bound_report("demo", np.array([3.0]), np.array([2.0]), (np.array([1.0]),))
+        assert not rep.passed and rep.worst_margin == pytest.approx(-0.5)
+        assert bound_report("demo", np.array([2.0]), np.array([2.0]), (np.array([1.0]),)).passed

@@ -13,6 +13,7 @@ formulas in mpmath at 40 digits, with every argument built from mpf values.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +21,9 @@ import pytest
 from scipy.special import gammaln
 
 from conftest import random_catalog_measure
+from shimorin_lab._gridquad import moment_sum
 from shimorin_lab.measure import (
+    Atom,
     NuAlphaDensity,
     PowerDensity,
     RadialMeasure,
@@ -119,8 +122,33 @@ class TestClosedFormsAgainstMpmath:
         m = moment_prefix(RadialMeasure.lebesgue(), int(MP_GRID.max())).values
         assert max_rel(m[MP_GRID], ref) <= 1e-14
 
-    def test_tabulated_has_no_closed_form(self):
-        assert TabulatedDensity((0.0, 1.0), (1.0, 1.0)).moments(MP_GRID) is None
+
+class TestComponentProtocol:
+    def test_tabulated_sums_its_grid(self):
+        # trapezoid weights 1 at r = 1 (value 2, half-width 1/2) and 1/2 at
+        # r = 0, where the integrand is 1 and 1/(n+1)
+        got = TabulatedDensity((0.0, 1.0), (1.0, 2.0)).moments(MP_GRID)
+        assert max_rel(got, 1.0 + 0.5 / (MP_GRID + 1.0)) <= 1e-15
+
+    def test_moment_sum_limits_at_the_grid_ends(self):
+        n = np.array([0, 1, 7, 1000])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_one = moment_sum(np.array([0.0]), np.array([1.0]), n)
+            at_zero = moment_sum(np.array([1.0]), np.array([1.0]), n)
+        assert np.array_equal(at_one, np.ones(4))
+        assert np.array_equal(at_zero, 1.0 / (n + 1.0))
+
+    def test_moments_are_the_sum_of_the_components(self):
+        comps = (Atom(0.4, 0.3), PowerDensity(1.2, -0.5), NuAlphaDensity(1.5),
+                 TabulatedDensity((0.0, 0.3, 0.7, 1.0), (1.0, 2.0, 0.5, 1.5)))
+        mu = RadialMeasure(comps[:1], comps[1:])
+        n = np.arange(1, 3000)
+        parts = np.zeros(n.shape)
+        for c in comps:
+            parts += c.moments(n)
+        assert np.array_equal(moments_at(mu, n), parts)
+        assert moments_at(mu, 0)[0] == total_mass(mu)
 
 
 class TestQuadratureRoute:

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from shimorin_lab.diskquad import DiskRule, lp_norm
-from shimorin_lab.kernel import BoundViolation
 from shimorin_lab.measure import RadialMeasure, critical_index
 from shimorin_lab.multiplier import moment_prefix
 from shimorin_lab.operator import TaylorFunction, apply_multiplier, bergman_membership
 from shimorin_lab.testfns import (
     C_ZERO,
     C_ZERO_TILDE,
+    _direct_response,
     _parseval_area,
     _series_rule,
     aligned_testfn,
     block_testfn,
     box,
     indicator_response,
-    indicator_response_at,
     indicator_testfn,
     power_testfn,
     ratio_experiment,
@@ -191,8 +190,8 @@ class TestIndicatorResponse:
             mu = cat[name]
             for t in (0.25, 0.0625):
                 for z in (0.3 + 0.2j, math.sqrt(1.0 - t)):
-                    a = indicator_response_at(mu, t, z, "series")
-                    d = indicator_response_at(mu, t, z, "direct")
+                    a = indicator_response(mu, t)(z)
+                    d = _direct_response(mu, "indicator", t)(z)
                     assert a == pytest.approx(d, rel=1e-9)
 
     def test_polar_field_vs_coefficient_oracles(self, cat):
