@@ -65,6 +65,7 @@ from .operator import (
 )
 from .testfns import (
     BoundaryBox,
+    aligned_response,
     aligned_testfn,
     block_testfn,
     box,

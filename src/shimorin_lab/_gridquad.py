@@ -6,9 +6,10 @@ one graded-mesh engine serves every module: split the interval into geometric
 panels toward the singular end(s), put a fixed-order Gauss rule on each panel,
 and either account for the sub-mesh tail analytically or cover it with one
 Gauss-Jacobi panel that carries an endpoint power exactly. The module also
-holds the two sums of a u-rule (u_j, c_j) in u = 1 - r that the measure
-components share: against the resolvent (1 - r w)^-1 (``resolvent_sum``) and
-against the multiplier integrand (1 - r^(n+1)) / ((n+1)(1 - r)) (``moment_sum``).
+holds the three sums of a u-rule (u_j, c_j) in u = 1 - r that the measure
+components share: against the resolvent (1 - r w)^-1 (``resolvent_sum``),
+against the multiplier integrand (1 - r^(n+1)) / ((n+1)(1 - r)) (``moment_sum``)
+and against the claim-1 envelope min{1, 1/((n+1) u)} (``envelope_sum``).
 """
 
 from __future__ import annotations
@@ -145,6 +146,24 @@ def moment_sum(u: np.ndarray, weights: np.ndarray, n: np.ndarray) -> np.ndarray:
             vals[:, at_one] = 1.0
         out[lo:lo + rows] = vals @ weights
     return out
+
+
+def envelope_sum(u: np.ndarray, w: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """sum_i w_i min{1, 1/(N u_i)} for every N, in O((len(N) + len(u)) log len(u)).
+
+    On the rule sorted by u, the nodes with u_i <= 1/N give a prefix sum of
+    w and the others a suffix sum of w/u over N. The suffix sum is
+    accumulated from the large-u end: as total minus prefix it would cancel,
+    since sum w/u over the whole nu_alpha rule reaches 2e17 at alpha = 1.9.
+    """
+    order = np.argsort(u, kind="stable")
+    u, w = u[order], w[order]
+    head = np.concatenate(([0.0], np.cumsum(w)))
+    # nodes at u = 0 (r = 1 on a tabulated grid) always lie in the prefix
+    w_over_u = np.divide(w, u, out=np.zeros_like(w), where=u > 0.0)
+    tail = np.concatenate((np.cumsum(w_over_u[::-1])[::-1], [0.0]))
+    k = np.searchsorted(u, 1.0 / N, side="right")
+    return head[k] + tail[k] / N
 
 
 def richardson_tail(values: np.ndarray) -> float:

@@ -19,13 +19,16 @@ last two are the s = 1 singular moments of nu without its atom at 1.
 
 Both the resolvent integral (1 - r w)^-1 d nu with its w-derivative and the
 coefficient multipliers m_n = (n+1)^-1 integral (1 - r^(n+1))/(1 - r) d nu are
-linear in nu, so every component carries its own part of each, as
-``resolvent(w, derivative)`` and ``moments(n)``, and the kernel and multiplier
-modules only sum them: atoms exactly; power and nu_alpha densities in closed
-form (Gamma ratios in an O(1)-term Stirling form; power densities with
-beta != 0 take their resolvent on a Gauss-Jacobi rule per octave of |1 - w|);
-tabulated densities on their own trapezoid grid (``_gridquad.resolvent_sum``
-and ``_gridquad.moment_sum``). A new density kind is one class here.
+linear in nu, and so is the claim-1 envelope integral min{1, 1/((n+1)(1-r))}
+d nu. Every component carries its own part of each, as
+``resolvent(w, derivative)``, ``moments(n)`` and ``envelope(N)``, and the
+kernel and multiplier modules only sum them: atoms exactly; power and
+nu_alpha densities in closed form (Gamma ratios in an O(1)-term Stirling
+form; power densities with beta != 0 take their resolvent on a Gauss-Jacobi
+rule per octave of |1 - w|; the nu_alpha envelope on its default u-rule);
+tabulated densities on their own trapezoid grid (``_gridquad.resolvent_sum``,
+``_gridquad.moment_sum`` and ``_gridquad.envelope_sum``). A new density kind
+is one class here.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ import numpy as np
 from scipy.special import betainc, betaln, digamma, gamma, gammaln, hyp2f1, zeta
 
 from . import constants as cns
-from ._gridquad import (geometric_breaks, jacobi_rule, ladder_decision, moment_sum,
-                        panel_rule, resolvent_sum)
+from ._gridquad import (envelope_sum, geometric_breaks, jacobi_rule, ladder_decision,
+                        moment_sum, panel_rule, resolvent_sum)
 
 __all__ = [
     "Atom",
@@ -141,6 +144,13 @@ class Atom:
         if self.x == 0.0:
             return self.mass / N
         return self.mass * (-np.expm1(N * math.log(self.x))) / (N * (1.0 - self.x))
+
+    def envelope(self, N: np.ndarray) -> np.ndarray:
+        """mass * min{1, 1/(N u)} at u = 1 - x, for each N = n + 1."""
+        u = 1.0 - self.x
+        if u == 0.0:
+            return np.full(N.shape, self.mass)
+        return self.mass * np.minimum(1.0, 1.0 / (N * u))
 
 
 # Below this |w| the Lebesgue resolvent is summed as a Taylor series: numpy's
@@ -339,6 +349,16 @@ class PowerDensity:
                                    1.0 - np.exp(lg - rest) * y ** (-b))
         return self.kappa * one_minus_r / (b * N)
 
+    def envelope(self, N: np.ndarray) -> np.ndarray:
+        """integral min{1, 1/(N u)} kappa u^beta du, split at u = T = min{1, 1/N}."""
+        T = np.minimum(1.0, 1.0 / N)
+        head = T ** (self.beta + 1.0) / (self.beta + 1.0)
+        if self.beta == 0.0:
+            tail = np.log(1.0 / T) / N
+        else:
+            tail = (1.0 - T ** self.beta) / (self.beta * N)
+        return self.kappa * (head + tail)
+
     def u_rule(self, umin: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         # grading toward u = 0 only; the density is smooth at u = 1
         u, g = panel_rule(geometric_breaks(umin, 1.0), order)
@@ -419,6 +439,10 @@ class NuAlphaDensity:
         y, rest = _stirling_split(np.asarray(n, dtype=float) + 2.0, b)
         return y ** b * np.exp(rest) / gamma(self.alpha)
 
+    def envelope(self, N: np.ndarray) -> np.ndarray:
+        """integral min{1, 1/(N u)} d nu summed on the default u-rule."""
+        return envelope_sum(*self.u_rule(2.0 ** -cns.MEASURE_DEPTH_ZERO, cns.MEASURE_ORDER), N)
+
     def u_rule(self, umin: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         # two pieces: u-panels toward 0 and v = 1-u panels toward 1, so the
         # singular factors u^(1-a) and (1-u)^(a-2) are both evaluated without
@@ -496,6 +520,10 @@ class TabulatedDensity:
     def moments(self, n: np.ndarray) -> np.ndarray:
         """m_n summed on the grid."""
         return moment_sum(*self._grid(), np.asarray(n))
+
+    def envelope(self, N: np.ndarray) -> np.ndarray:
+        """integral min{1, 1/(N u)} d nu summed on the grid."""
+        return envelope_sum(*self._grid(), N)
 
     def u_rule(self, umin: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         # the grid itself, whatever umin and order: the ladder drops nodes

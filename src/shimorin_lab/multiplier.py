@@ -14,10 +14,11 @@ checked against. The envelope
 
     (1 - 1/e) * I_n <= m_n <= I_n,   I_n = integral min{1, 1/((n+1) t)} d mu~(t)
 
-(mu~ the pushforward of nu under t = 1 - r) pins every m_n between closed
-forms (atoms, power densities) or a sorted-rule prefix/suffix sum (the other
-densities), and the decay exponent limsup log m_n / log(n+1) = -s0 is
-estimated by an upper-envelope fit on a geometric index grid.
+(mu~ the pushforward of nu under t = 1 - r) pins every m_n between sums of
+every component's own ``envelope``: closed forms (atoms, power densities) or
+a sorted-rule prefix/suffix sum (the other densities). The decay exponent
+limsup log m_n / log(n+1) = -s0 is estimated by an upper-envelope fit on a
+geometric index grid.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import constants as cns
 from ._gridquad import moment_sum
-from .measure import PowerDensity, RadialMeasure, total_mass
+from .measure import RadialMeasure, total_mass
 
 __all__ = [
     "MultiplierSequence",
@@ -158,54 +159,21 @@ def moments_at(mu: RadialMeasure, n) -> np.ndarray:
     return _moments(mu, n)
 
 
-def _sorted_rule_envelope(u: np.ndarray, w: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """sum_i w_i min{1, 1/(N u_i)} for every N, in O((len(N) + len(u)) log len(u)).
-
-    On the rule sorted by u, the nodes with u_i <= 1/N give a prefix sum of
-    w and the others a suffix sum of w/u over N. The suffix sum is
-    accumulated from the large-u end: as total minus prefix it would cancel,
-    since sum w/u over the whole nu_alpha rule reaches 2e17 at alpha = 1.9.
-    """
-    order = np.argsort(u, kind="stable")
-    u, w = u[order], w[order]
-    head = np.concatenate(([0.0], np.cumsum(w)))
-    # nodes at u = 0 (r = 1 on a tabulated grid) always lie in the prefix
-    w_over_u = np.divide(w, u, out=np.zeros_like(w), where=u > 0.0)
-    tail = np.concatenate((np.cumsum(w_over_u[::-1])[::-1], [0.0]))
-    k = np.searchsorted(u, 1.0 / N, side="right")
-    return head[k] + tail[k] / N
-
-
 def claim1_envelope(mu: RadialMeasure, n: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided envelope ((1 - 1/e) I_n, I_n) with I_n = integral min{1, 1/((n+1)t)} d mu~.
 
-    Closed forms for atoms and power densities (split at t = 1/(n+1)); the
-    other densities' pushforward rule is sorted once and summed by
-    ``_sorted_rule_envelope``, so time and memory are O(len(n) + nodes).
-    I_0 = nu([0,1]) exactly (min{1, 1/t} = 1 on [0, 1]) and is the
-    closed-form total mass, as m_0 is, so that the rounding of the
+    I_n is linear in nu, so it is the sum of every component's ``envelope``:
+    closed forms for atoms and power densities, and a sorted-rule sum
+    (``_gridquad.envelope_sum``) for the others, so time and memory are
+    O(len(n) + nodes). I_0 = nu([0,1]) exactly (min{1, 1/t} = 1 on [0, 1])
+    and is the closed-form total mass, as m_0 is, so that the rounding of the
     quadrature cannot put m_0 above its own upper envelope. Vectorized over n.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     N = n + 1.0
     I = np.zeros(n.shape)
-    for a in mu.atoms:
-        t = 1.0 - a.x
-        I += a.mass * (1.0 if t == 0.0 else np.minimum(1.0, 1.0 / (N * t)))
-    rest = []
-    for d in mu.densities:
-        if isinstance(d, PowerDensity):
-            T = np.minimum(1.0, 1.0 / N)
-            head = T ** (d.beta + 1.0) / (d.beta + 1.0)
-            if d.beta == 0.0:
-                tail = np.log(1.0 / T) / N
-            else:
-                tail = (1.0 - T ** d.beta) / (d.beta * N)
-            I += d.kappa * (head + tail)
-        else:
-            rest.append(d)
-    if rest:
-        I += _sorted_rule_envelope(*RadialMeasure(densities=tuple(rest)).pushforward_rule(), N)
+    for component in mu.atoms + mu.densities:
+        I += component.envelope(N)
     I[n == 0] = total_mass(mu)
     lower = (1.0 - math.exp(-1.0)) * I
     return lower, I

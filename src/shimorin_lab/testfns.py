@@ -10,18 +10,18 @@ series (n+1)^s, and their dyadic-block modification) witness unboundedness or
 boundedness of the operator through the ratio ||T f||_q / ||f||_p along dyadic
 t-sweeps, including weak-L^q and Bloch endpoint targets.
 
-For the indicator family, T f_t has the explicit expansion
+For both box families f_t, T f_t has the explicit expansion
 
-    T f_t(z) = sum_n m_n (n+1) (integral_{E_t} conj(lam)^n dA) z^n
+    T f_t(z) = sum_n m_n (n+1) (integral_{E_t} f_t conj(lam)^n dA) z^n
 
 (term-by-term integration of the kernel's uniformly convergent conj(lam)
-series over E_t; the box moments are closed-form). Disk norms of T f_t (L^q,
-weak-L^q, Bloch) come from the diskquad reducers, which sample a
+series over E_t). The box moments are closed-form for the indicator and a
+tensor Gauss sum on the box for the aligned function. Disk norms of T f_t
+(L^q, weak-L^q, Bloch) come from the diskquad reducers, which sample a
 TaylorFunction by FFT over the uniform angular layer: |T f_t| has angular
 scale ~ t, so small t needs ~10^5 angular nodes and per-node kernel quadrature
-would be prohibitive. The direct box-quadrature route remains available
-(route="direct") and is the only route for the aligned family; it feeds the
-same reducers, and series-vs-direct agreement is part of the test suite.
+would be prohibitive. Box quadrature of the kernel itself (``_direct_response``)
+is the independent route the tests hold both expansions to.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ __all__ = [
     "ratio_sweep",
     "sweep_verdict",
     "indicator_response",
+    "aligned_response",
     "subharmonic_transfer_report",
 ]
 
@@ -79,7 +80,6 @@ class BoundaryBox:
     """Polar rectangle at boundary scale t with closed-form area."""
 
     t: float
-    at_validity_edge: bool = False  # t exactly at the validity threshold 1/2
 
     @property
     def rho_range(self) -> tuple[float, float]:
@@ -138,10 +138,10 @@ class BoundaryBox:
 
 
 def box(t: float) -> BoundaryBox:
-    """Box at scale t; valid for 0 < t < 1/2, t = 1/2 accepted with a flag."""
+    """Box at scale t, for 0 < t <= 1/2."""
     if not (0.0 < t <= 0.5):
         raise ValueError(f"t must lie in (0, 1/2], got {t}")
-    return BoundaryBox(t, at_validity_edge=(t == 0.5))
+    return BoundaryBox(t)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +154,15 @@ def indicator_testfn(t: float) -> SampledFunction:
     return SampledFunction(lambda z: b.contains(z).astype(complex))
 
 
-def aligned_testfn(mu: RadialMeasure, t: float, z_t: complex | None = None,
-                   ) -> SampledFunction:
+def aligned_testfn(mu: RadialMeasure, t: float) -> SampledFunction:
     """Unimodular kernel-phase alignment conj(K(z_t, .))/|K(z_t, .)| on the box.
 
-    Kernel non-vanishing is checked at the box's Gauss nodes before returning.
+    z_t = sqrt(1 - t) is the box's point on the real axis: 1 - t <= z_t <=
+    1 - t/2 for every t in (0, 1/2]. Kernel non-vanishing is checked at the
+    box's Gauss nodes before returning.
     """
     b = box(t)
-    if z_t is None:
-        z_t = math.sqrt(1.0 - t)
-    if not bool(b.contains(z_t)):
-        raise ValueError(f"z_t = {z_t} does not lie in the box at t = {t}")
+    z_t = math.sqrt(1.0 - t)
     nodes, _ = b.gauss_nodes()
     kvals = eval_kernel(mu, np.full(nodes.shape, z_t, dtype=complex), nodes)
     if np.any(np.abs(kvals) == 0.0):
@@ -259,21 +257,58 @@ def realpart_bound_reports(seed: int = 0, n_per_t: int = 2000,
 
 
 # ---------------------------------------------------------------------------
-# the indicator response T f_t and its polar-grid norms
+# the box responses T f_t and their polar-grid norms
 # ---------------------------------------------------------------------------
 
-def indicator_response(mu: RadialMeasure, t: float, tol: float = 1e-14
-                       ) -> TaylorFunction:
-    """Taylor coefficients of T f_t for the box indicator at scale t."""
-    b = box(t)
+# The series is cut at the first N = ceil(70/t) 2^k with (N + 1) (1 - t/2)^N
+# below this; it bounds |c_N| / (m_N area), as |f_t| <= 1, |lam| <= 1 - t/2.
+_SERIES_TOL = 1e-14
+# (radial, angular) Gauss orders of the box rule of the aligned moments and of
+# _direct_response, so that the series and its cross-check share one integral
+_BOX_RULE = (32, 12)
+# indices per block of the aligned moments (a 3 MB power table on 384 nodes)
+_MOMENT_ROWS = 1 << 9
+# degree of the power and block test polynomials
+_N_TERMS = 4096
+
+
+def _box_response(mu: RadialMeasure, t: float, box_moments) -> TaylorFunction:
+    """Taylor coefficients m_n (n+1) M_n of T f_t at scale t, where
+    ``box_moments(n)`` gives M_n = integral_{E_t} f_t conj(lam)^n dA on
+    n = 0, 1, ..., N."""
     N = int(math.ceil(70.0 / t))
     decay = -math.log1p(-t / 2.0)
-    while (N + 1.0) * math.exp(-N * decay) > tol and N < 5_000_000:
+    while (N + 1.0) * math.exp(-N * decay) > _SERIES_TOL and N < 5_000_000:
         N *= 2
     n = np.arange(N + 1)
     m = moment_prefix(mu, N).values
-    coeffs = m * (n + 1.0) * b.conj_moments(n)
+    coeffs = m * (n + 1.0) * box_moments(n)
     return TaylorFunction.from_array(coeffs)
+
+
+def indicator_response(mu: RadialMeasure, t: float) -> TaylorFunction:
+    """Taylor coefficients of T f_t for the box indicator at scale t."""
+    return _box_response(mu, t, box(t).conj_moments)
+
+
+def aligned_response(mu: RadialMeasure, t: float) -> TaylorFunction:
+    """Taylor coefficients of T f_t for the kernel-phase-aligned box function.
+
+    M_n = sum_i w_i f_t(lam_i) conj(lam_i)^n on the ``_BOX_RULE`` nodes, in
+    blocks of indices lo + k, k < _MOMENT_ROWS: one product of the table
+    conj(lam)^k with the vector w f_t conj(lam)^lo, so no (N x nodes) array
+    is built.
+    """
+    nodes, weights = box(t).gauss_nodes(*_BOX_RULE)
+    lam = np.conj(nodes)
+    wf = weights * aligned_testfn(mu, t)(nodes)
+    table = lam ** np.arange(_MOMENT_ROWS)[:, None]
+
+    def moments(n):
+        blocks = [table @ (wf * lam ** lo) for lo in range(0, n.size, _MOMENT_ROWS)]
+        return np.concatenate(blocks)[:n.size]
+
+    return _box_response(mu, t, moments)
 
 
 def _series_rule(t: float | None = None) -> DiskRule:
@@ -324,31 +359,22 @@ def sweep_verdict(values: Iterable[float]) -> str:
 
 
 def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
-                     param: float, *, weak: bool = False, route: str | None = None,
-                     n_terms: int = 4096, rule: DiskRule | None = None) -> RatioResult:
+                     param: float, *, weak: bool = False) -> RatioResult:
     """||T f||_q / ||f||_p for one member of a test-function family.
 
-    family "indicator"/"aligned": param is the box scale t; "power"/"block":
-    param is the coefficient exponent. q = inf uses the Bloch seminorm of T f
-    (the BMO-equivalent target); weak=True uses the weak-L^q quasi-norm.
-    Indicator norms default to the series route; "direct" forces box
-    quadrature (only feasible at single points / small rules, and the only
-    route for the aligned family).
+    family "indicator"/"aligned": param is the box scale t, and T f is the
+    box response series; "power"/"block": param is the coefficient exponent
+    of a polynomial of degree ``_N_TERMS``. q = inf uses the Bloch seminorm of
+    T f (the BMO-equivalent target); weak=True uses the weak-L^q quasi-norm.
     """
     param = float(param)
     if family in ("indicator", "aligned"):
+        response = indicator_response if family == "indicator" else aligned_response
         f_norm = box(param).area ** (1.0 / p)
-        if family == "aligned" or route == "direct":
-            tf = _direct_response(mu, family, param)
-            if q == math.inf:
-                raise ValueError("Bloch target is only wired to the series route")
-            if rule is None:
-                rule = DiskRule.make()
-        else:
-            tf, rule = indicator_response(mu, param), _series_rule(param)
+        tf, rule = response(mu, param), _series_rule(param)
     elif family in ("power", "block"):
-        f = power_testfn(param, n_terms) if family == "power" else \
-            block_testfn(mu, param, n_terms)
+        f = power_testfn(param, _N_TERMS) if family == "power" else \
+            block_testfn(mu, param, _N_TERMS)
         m = moment_prefix(mu, f.degree).values
         tf, rule = TaylorFunction.from_array(m * f.coefficients), _series_rule()
         f_norm = lp_norm(f, p, rule)
@@ -363,9 +389,10 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
 
 
 def _direct_response(mu: RadialMeasure, family: str, t: float):
-    """T f on the disk by box quadrature of the kernel, for evaluation at nodes."""
+    """T f on the disk by box quadrature of the kernel, for evaluation at points:
+    the independent route the box response series are held to."""
     f = indicator_testfn(t) if family == "indicator" else aligned_testfn(mu, t)
-    nodes, weights = box(t).gauss_nodes(32, 12)
+    nodes, weights = box(t).gauss_nodes(*_BOX_RULE)
     fvals = f(nodes)
 
     def tf(z):

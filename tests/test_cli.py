@@ -117,6 +117,15 @@ class TestEmitters:
         ratios = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
+    def test_ratio_scan_aligned_bloch(self, capsys):
+        # the Bloch target runs on the aligned family's series like the others
+        assert main(["ratio-scan", "--measure", "lebesgue", "--p", "4", "--q", "inf",
+                     "--family", "aligned", "--j-start", "3", "--j-stop", "5"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 4
+        for row in rows[1:]:
+            assert all(np.isfinite(float(x)) for x in row.split(",")[:4])
+
     def test_mn_tabulated_inline_json(self, capsys):
         r = [i * 0.99 / 199 for i in range(200)]
         spec = {"densities": [{"kind": "tabulated", "r": r,

@@ -129,6 +129,10 @@ class TestComponentProtocol:
         # r = 0, where the integrand is 1 and 1/(n+1)
         got = TabulatedDensity((0.0, 1.0), (1.0, 2.0)).moments(MP_GRID)
         assert max_rel(got, 1.0 + 0.5 / (MP_GRID + 1.0)) <= 1e-15
+        # and min{1, 1/(N u)} is 1 at u = 0 and 1/N at u = 1
+        N = np.array([1.0, 2.0, 10.0, 1e6])
+        got = TabulatedDensity((0.0, 1.0), (1.0, 2.0)).envelope(N)
+        assert np.array_equal(got, 1.0 + 0.5 / N)
 
     def test_moment_sum_limits_at_the_grid_ends(self):
         n = np.array([0, 1, 7, 1000])
@@ -149,6 +153,19 @@ class TestComponentProtocol:
             parts += c.moments(n)
         assert np.array_equal(moments_at(mu, n), parts)
         assert moments_at(mu, 0)[0] == total_mass(mu)
+
+    def test_envelope_is_the_sum_of_the_components(self):
+        comps = (Atom(1.0, 0.2), Atom(0.4, 0.3), PowerDensity(1.2, -0.5), NuAlphaDensity(1.5),
+                 TabulatedDensity((0.0, 0.3, 0.7, 1.0), (1.0, 2.0, 0.5, 1.5)))
+        mu = RadialMeasure(comps[:2], comps[2:])
+        n = np.arange(1, 3000)
+        parts = np.zeros(n.shape)
+        for c in comps:
+            parts += c.envelope(n + 1.0)
+        lo, up = claim1_envelope(mu, n)
+        assert np.array_equal(up, parts)
+        assert np.array_equal(lo, (1.0 - math.exp(-1.0)) * parts)
+        assert claim1_envelope(mu, 0)[1][0] == total_mass(mu)
 
 
 class TestQuadratureRoute:
