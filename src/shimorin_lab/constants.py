@@ -59,3 +59,12 @@ MOMENT_BUDGET = 1e-10
 # 2F1(alpha p/2, alpha p/2; 2; |z|^2)^(1/p), the nu_alpha kernel norm, for
 # alpha in {1.1, 1.5, 1.9, 1.99}, |z| from 0.05 to 0.9999 and p from 1.05 to 8.
 KERNEL_NORM_BUDGET = 1e-11
+
+# Relative error budget of the even-q disk norms of a polynomial
+# (testfns._parseval_area: Parseval's identity on f^k, f^k by FFT
+# convolution). The error actually reached is at most 5.1e-16 against a
+# 30-digit mpmath area integral (k = 2, 3; random real and complex polynomials
+# of degree <= 8), and at most 8.7e-16 against the polar sampler at q = 4 on
+# the indicator responses of Lebesgue, power beta = +-0.5 and nu_1.5 for
+# t = 2^-3 .. 2^-10.
+EVEN_NORM_BUDGET = 1e-13

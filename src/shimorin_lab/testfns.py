@@ -16,12 +16,17 @@ For both box families f_t, T f_t has the explicit expansion
 
 (term-by-term integration of the kernel's uniformly convergent conj(lam)
 series over E_t). The box moments are closed-form for the indicator and a
-tensor Gauss sum on the box for the aligned function. Disk norms of T f_t
-(L^q, weak-L^q, Bloch) come from the diskquad reducers, which sample a
-TaylorFunction by FFT over the uniform angular layer: |T f_t| has angular
-scale ~ t, so small t needs ~10^5 angular nodes and per-node kernel quadrature
-would be prohibitive. Box quadrature of the kernel itself (``_direct_response``)
-is the independent route the tests hold both expansions to.
+tensor Gauss sum on the box for the aligned function. Box quadrature of the
+kernel itself (``_direct_response``) is the independent route the tests hold
+both expansions to.
+
+Strong norms at an even integer exponent q = 2k of a polynomial (T f_t, and
+f and T f of the power and block families) are exact coefficient sums:
+||g||_2k^2k = sum_n |d_n|^2 / (n + 1), d the coefficients of g^k, a k-fold
+FFT convolution (``_parseval_area``), at O(kN log kN) whatever t is. Weak-L^q,
+Bloch, odd or fractional q, and any SampledFunction stay on the diskquad
+sampler, which evaluates a TaylorFunction by FFT on a polar grid: |T f_t| has
+angular scale ~ t, so small t needs ~10^5 angular nodes.
 """
 
 from __future__ import annotations
@@ -312,13 +317,51 @@ def aligned_response(mu: RadialMeasure, t: float) -> TaylorFunction:
 
 
 def _series_rule(t: float | None = None) -> DiskRule:
-    """Polar rule for a polynomial of angular scale ~ t (at least 64/t angles).
+    """Polar rule for a polynomial of angular scale ~ t (at least 64/t angles),
+    or, without t, for the degree-``_N_TERMS`` family polynomials (more angles
+    than the degree, so |f|^2 does not alias on the circle).
 
     The angular count is a power of two, at least 4096; radial panels refine
     dyadically toward the boundary.
     """
-    target = 4096 if t is None else max(4096, int(64.0 / t))
+    target = _N_TERMS + 1 if t is None else max(4096, int(64.0 / t))
     return DiskRule.make(30, 12, 1 << int(math.ceil(math.log2(target))))
+
+
+def _parseval_area(tf: TaylorFunction, k: int = 1) -> float:
+    """integral |tf|^(2k) dA = sum |d_n|^2 / (n + 1), d the coefficients of tf^k.
+
+    Parseval's identity on tf^k, exact up to rounding. For k > 1, d is the
+    k-fold self-convolution of tf's coefficients, by FFT at the next power of
+    two >= k N + 1 (real FFT for real coefficients); k = 1 is the direct sum.
+    """
+    c = tf.coefficients
+    if k > 1:
+        size = k * (c.size - 1) + 1
+        L = 1 << (size - 1).bit_length()
+        if not c.imag.any():
+            c = np.fft.irfft(np.fft.rfft(c.real, L) ** k, L)[:size]
+        else:
+            c = np.fft.ifft(np.fft.fft(c, L) ** k)[:size]
+    return float(np.sum((c.real ** 2 + c.imag ** 2) / np.arange(1.0, c.size + 1.0)))
+
+
+def _even_half(q: float) -> int:
+    """q / 2 when q is an even integer >= 2, else 0."""
+    return int(q) // 2 if q >= 2.0 and q % 2.0 == 0.0 else 0
+
+
+def _strong_norm(f: TaylorFunction, q: float, rule: DiskRule) -> float:
+    """||f||_q: ``_parseval_area`` on f^(q/2) for an even integer q, else the
+    polar sampler on ``rule``; OverflowError when |f|^q overflows."""
+    k = _even_half(q)
+    if not k:
+        return lp_norm(f, q, rule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _parseval_area(f, k) ** (1.0 / q)
+    if not math.isfinite(norm):
+        raise OverflowError(f"L^{q} norm is not finite in double precision")
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +409,9 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     box response series; "power"/"block": param is the coefficient exponent
     of a polynomial of degree ``_N_TERMS``. q = inf uses the Bloch seminorm of
     T f (the BMO-equivalent target); weak=True uses the weak-L^q quasi-norm.
+    Strong norms of a polynomial at an even integer exponent are Parseval
+    sums of its power (``_strong_norm``); the other targets are sampled on
+    the polar rule.
     """
     param = float(param)
     if family in ("indicator", "aligned"):
@@ -377,14 +423,14 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
             block_testfn(mu, param, _N_TERMS)
         m = moment_prefix(mu, f.degree).values
         tf, rule = TaylorFunction.from_array(m * f.coefficients), _series_rule()
-        f_norm = lp_norm(f, p, rule)
+        f_norm = _strong_norm(f, p, rule)
     else:
         raise ValueError(f"unknown family {family!r}")
     if q == math.inf:
         val = bloch_seminorm(SampledFunction(tf, tf.derivative()),
                              rule.radial_depth, rule.angular_count)
     else:
-        val = weak_norm(tf, q, rule) if weak else lp_norm(tf, q, rule)
+        val = weak_norm(tf, q, rule) if weak else _strong_norm(tf, q, rule)
     return RatioResult(param, f_norm, val)
 
 
@@ -416,22 +462,18 @@ def ratio_sweep(mu: RadialMeasure, p: float, q: float, family: str,
     return results, sweep_verdict([r.ratio for r in results])
 
 
-def _parseval_area(tf: TaylorFunction) -> float:
-    """integral |tf|^2 dA = sum |c_n|^2 / (n + 1) (Parseval), exact."""
-    c = tf.coefficients
-    return float(np.sum((c.real ** 2 + c.imag ** 2) / np.arange(1.0, c.size + 1.0)))
-
-
 def subharmonic_transfer_report(mu: RadialMeasure, t: float, q: float) -> KernelBoundReport:
     """Mean-value transfer |T f(z_t)|^q <= (16/t^2) integral |T f|^q dA, indicator family.
 
-    At q = 2 the area integral is Parseval's sum |c_n|^2 / (n + 1) over the
-    Taylor coefficients of T f, exact; other q run ``lp_norm`` on the series rule.
+    At an even integer q the area integral is Parseval's sum over the Taylor
+    coefficients of (T f)^(q/2) (``_parseval_area``), exact; other q run
+    ``lp_norm`` on the series rule.
     """
     z_t = math.sqrt(1.0 - t)
     tf = indicator_response(mu, t)
     lhs = abs(complex(tf(z_t))) ** q
-    area = _parseval_area(tf) if q == 2.0 else lp_norm(tf, q, _series_rule(t)) ** q
+    k = _even_half(q)
+    area = _parseval_area(tf, k) if k else lp_norm(tf, q, _series_rule(t)) ** q
     rhs = (16.0 / (t * t)) * area
     return bound_report(f"subharmonic-transfer[t={t}]", np.array([lhs]),
                         np.array([rhs]), (np.array([z_t]),))

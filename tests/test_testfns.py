@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from shimorin_lab import constants as cns
+from shimorin_lab import diskquad
 from shimorin_lab.diskquad import DiskRule, lp_norm
 from shimorin_lab.measure import RadialMeasure, critical_index
 from shimorin_lab.multiplier import moment_prefix
@@ -12,9 +14,11 @@ from shimorin_lab.operator import TaylorFunction, apply_multiplier, bergman_memb
 from shimorin_lab.testfns import (
     C_ZERO,
     C_ZERO_TILDE,
+    _N_TERMS,
     _direct_response,
     _parseval_area,
     _series_rule,
+    _strong_norm,
     aligned_response,
     aligned_testfn,
     block_testfn,
@@ -200,19 +204,15 @@ class TestIndicatorResponse:
                     assert complex(tf(z)) == pytest.approx(complex(direct(z)), rel=1e-12)
 
     def test_polar_field_vs_coefficient_oracles(self, cat):
-        # L2 via sum |c_n|^2/(n+1); L4 via the squared function's L2 norm
-        mu = cat["lebesgue"]
-        for t in (0.25, 0.125):
-            tf = indicator_response(mu, t)
-            c = tf.coefficients.real
-            k = np.arange(1, c.size + 1, dtype=float)
-            l2 = math.sqrt(np.sum(c * c / k))
-            sq = np.fft.irfft(np.fft.rfft(c, 2 * c.size) ** 2, 2 * c.size)[: 2 * c.size - 1]
-            k2 = np.arange(1, sq.size + 1, dtype=float)
-            l4 = np.sum(sq * sq / k2) ** 0.25
-            rule = _series_rule(t)
-            assert lp_norm(tf, 2.0, rule) == pytest.approx(l2, rel=1e-10)
-            assert lp_norm(tf, 4.0, rule) == pytest.approx(l4, rel=1e-10)
+        # the sampler's L2 and L4 against Parseval's sums over tf and tf^2
+        for name in ("lebesgue", "power_-0.5", "nu_alpha_1.5"):
+            for j in range(3, 9):
+                t = 2.0 ** -j
+                tf = indicator_response(cat[name], t)
+                rule = _series_rule(t)
+                l2, l4 = math.sqrt(_parseval_area(tf)), _parseval_area(tf, 2) ** 0.25
+                assert abs(lp_norm(tf, 2.0, rule) - l2) <= cns.EVEN_NORM_BUDGET * l2, (name, t)
+                assert abs(lp_norm(tf, 4.0, rule) - l4) <= cns.EVEN_NORM_BUDGET * l4, (name, t)
 
     def test_angular_resolution_converged(self, cat):
         # doubling the angular grid at the smallest acceptance scale is a no-op
@@ -235,12 +235,14 @@ class TestRatioExperiments:
         assert np.isfinite(res.ratio) and res.ratio > 0.0
 
     def test_aligned_l2_is_parseval(self, cat):
-        # the q = 2 value of the aligned family is the exact area integral of
-        # its response, resolved at small t
+        # the sampler resolves the aligned response (complex coefficients) at
+        # small t: its L2 norm is Parseval's sum
         t = 2.0 ** -6
+        tf = aligned_response(cat["delta1"], t)
+        exact = math.sqrt(_parseval_area(tf))
+        assert lp_norm(tf, 2.0, _series_rule(t)) == pytest.approx(exact, rel=1e-12)
         res = ratio_experiment(cat["delta1"], 2.0, 2.0, "aligned", t)
-        exact = math.sqrt(_parseval_area(aligned_response(cat["delta1"], t)))
-        assert res.tf_value == pytest.approx(exact, rel=1e-12)
+        assert res.tf_value == pytest.approx(exact, rel=cns.EVEN_NORM_BUDGET)
 
     def test_power_family_ratio(self, cat):
         res = ratio_experiment(cat["delta0"], 2.0, 2.0, "power", -1.0)
@@ -279,6 +281,88 @@ class TestRatioExperiments:
         assert region_verdict(c, ExponentPair(1.2, 1.5)).kind == BOUNDED
         _, v2 = ratio_sweep(cat["power_-0.5"], 1.2, 1.5, "indicator", ts)
         assert v2 == "plateaued"
+
+
+def _mp_area(c, k: int):
+    """integral |f|^(2k) dA at 30 digits for the polynomial with coefficients c:
+    the M-point circle mean is exact for M > k deg f, and Gauss-Legendre in rho
+    is exact on the polynomial that remains."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpc(a.real, a.imag) for a in np.asarray(c, dtype=complex)[::-1]]
+        M = k * (len(coeffs) - 1) + 1
+        roots = [mpmath.expjpi(mpmath.mpf(2 * j) / M) for j in range(M)]
+
+        def circle(rho):
+            s = mpmath.fsum(abs(mpmath.polyval(coeffs, rho * w)) ** (2 * k) for w in roots)
+            return 2 * rho * s / M
+
+        return mpmath.quad(circle, [0, 1], method="gauss-legendre")
+
+
+class TestEvenNorms:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_parseval_power_against_mpmath(self, k, complex_coeffs):
+        rng = np.random.default_rng(100 * k + complex_coeffs)
+        for _ in range(4):
+            deg = int(rng.integers(0, 9))
+            c = rng.normal(size=deg + 1)
+            if complex_coeffs:
+                c = c + 1j * rng.normal(size=deg + 1)
+            ref = _mp_area(c, k)
+            got = _parseval_area(TaylorFunction.from_array(c), k)
+            assert abs(got - ref) <= cns.EVEN_NORM_BUDGET * ref, (deg, c)
+
+    def test_first_power_is_the_direct_sum(self, cat):
+        tf = indicator_response(cat["lebesgue"], 0.25)
+        c = tf.coefficients
+        direct = float(np.sum((c.real ** 2 + c.imag ** 2) / np.arange(1.0, c.size + 1.0)))
+        assert _parseval_area(tf) == direct
+        assert _parseval_area(tf, 1) == direct
+
+    def test_routes_by_exponent(self, cat):
+        # even integers take Parseval; odd and fractional q the sampler
+        tf = indicator_response(cat["lebesgue"], 0.25)
+        rule = _series_rule(0.25)
+        assert _strong_norm(tf, 6.0, rule) == _parseval_area(tf, 3) ** (1.0 / 6.0)
+        for q in (1.0, 3.0, 4.0 / 3.0, 2.5):
+            assert _strong_norm(tf, q, rule) == lp_norm(tf, q, rule)
+
+    def test_overflow_raises_like_the_sampler(self):
+        f = TaylorFunction.from_array([1e200, 1e200])
+        rule = _series_rule()
+        for route in (_strong_norm, lp_norm):
+            with pytest.raises(OverflowError):
+                route(f, 4.0, rule)
+
+    @pytest.mark.parametrize("family", ["power", "block"])
+    def test_family_rule_resolves_the_degree(self, cat, family):
+        # more angles than the degree: the sampler's L2 is Parseval's sum
+        rule = _series_rule()
+        assert rule.angular_count > _N_TERMS
+        for s in (2.0 ** -3, 2.0 ** -4, 2.0 ** -8, -0.5):
+            f = power_testfn(s, _N_TERMS) if family == "power" else \
+                block_testfn(cat["power_-0.5"], s, _N_TERMS)
+            exact = math.sqrt(_parseval_area(f))
+            assert abs(lp_norm(f, 2.0, rule) - exact) <= 1e-13 * exact, s
+
+    def test_strong_even_sweeps_skip_the_sampler(self, cat, monkeypatch):
+        calls = []
+        sampler = diskquad._circle_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(diskquad, "_circle_blocks", counting)
+        ts = [2.0 ** (-j) for j in range(3, 7)]
+        ratio_sweep(cat["lebesgue"], 4.0 / 3.0, 4.0, "indicator", ts)
+        ratio_sweep(cat["power_0.5"], 2.0, 2.0, "power", ts)
+        assert calls == []
+        # the wrapper sees the sampler where it still runs
+        ratio_experiment(cat["lebesgue"], 4.0 / 3.0, 3.0, "indicator", 0.25)
+        assert calls
 
 
 class TestSweepVerdict:
