@@ -38,9 +38,9 @@ from . import kernel as kr
 from . import testfns as tf
 from .classify import (REGION_MAX_RESOLUTION, ExponentPair, region_grid, region_verdict,
                        standard_estimate)
-from .diskquad import NonFiniteSampleError, QuadratureNonconvergence
+from .diskquad import NonFiniteSampleError
 from .measure import RadialMeasure, critical_index
-from .multiplier import QuadratureError, _quadrature_moments, claim1_envelope
+from .multiplier import _quadrature_moments, claim1_envelope
 from .multiplier import moment_prefix, moments_at
 
 EXIT_OK = 0
@@ -292,9 +292,8 @@ def cmd_ratio_scan(args) -> int:
 
 def cmd_region(args) -> int:
     c = _parse_exponent(args.c)
-    rows = [[ip, iq, kind, clause]
-            for ip, iq, kind, clause in region_grid(c, args.resolution)]
-    _write_csv(["inv_p", "inv_q", "verdict", "clause"], rows, args.out)
+    _write_csv(["inv_p", "inv_q", "verdict", "clause"], region_grid(c, args.resolution),
+               args.out)
     return EXIT_OK
 
 
@@ -364,8 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError, OverflowError, QuadratureError,
-            NonFiniteSampleError, QuadratureNonconvergence) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError, NonFiniteSampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -298,14 +298,11 @@ def weak_norm(f, q: float, rule: DiskRule) -> float:
     """
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    # a callable is evaluated once and its samples kept for the second pass; a
-    # polynomial is sampled again, as its field can be large (65536 x 372 at
-    # t = 2^-10 in the ratio sweeps)
-    held = None if isinstance(f, TaylorFunction) else []
+    # two passes, each sampling the field: the range of |f|, then the counts;
+    # keeping the samples would hold the whole field (65536 x 372 at t = 2^-10
+    # in the ratio sweeps)
     lo, hi = np.inf, 0.0
     for w, a in _rule_blocks(f, rule):
-        if held is not None:
-            held.append((w, a))
         lo = min(lo, float(a.min(where=a > 0.0, initial=np.inf)))
         hi = max(hi, float(a.max()))
     if hi == 0.0:
@@ -313,8 +310,7 @@ def weak_norm(f, q: float, rule: DiskRule) -> float:
     taus = np.geomspace(min(lo * 0.999, hi * 0.5), hi * (1.0 - 1e-9), _TAU_POINTS)
     bins = _TAU_POINTS + 1
     mass = np.zeros(_TAU_POINTS)
-    blocks = held if held is not None else _rule_blocks(f, rule)
-    for w, a in blocks:
+    for w, a in _rule_blocks(f, rule):
         # per circle: count samples by tau bin, suffix-sum to counts of {|f| > tau_j}
         idx = np.searchsorted(taus, a, side="left") + bins * np.arange(len(a))[:, None]
         counts = np.bincount(idx.ravel(), minlength=bins * len(a)).reshape(len(a), bins)

@@ -18,13 +18,17 @@ density. The nested double-integral route (whose inner integral runs on
 side of the norm envelope stay on the graded u-rule for every density, so on
 a catalog measure they cross-check both.
 
-L^p norms of K(z, .) use a dedicated polar rule sized to the gap 1 - |z| (a
-uniform angular grid would need ~1/(1-|z|) nodes); by rotation invariance the
-norm depends on |z| only. Radial panels halve toward rho = 1 down to
-1 - 2^-d, d = ceil(log2(1/gap)) + 2, then one last panel; angular panels
-double away from one Gauss panel on [0, gap/16]. The error reached on nu_alpha
-is stated with ``constants.KERNEL_NORM_BUDGET``. The Forelli-Rudin check
-shares this mesh, with a Gauss-Jacobi last radial panel carrying (1 - rho)^t.
+L^p norms of K(z, .) and the Forelli-Rudin integral run on one polar rule,
+``_graded_polar(s, t)``, sized to the gap 1 - |z| (a uniform angular grid
+would need ~1/(1-|z|) nodes); by rotation invariance the norm depends on |z|
+only. Radial panels halve toward rho = 1 down to 1 - 2^-d,
+d = ceil(log2(1/gap)) + 2; the last panel [1 - 2^-d, 1] is Gauss-Jacobi in
+v = 1 - rho and carries the v^t of the weight (1 - rho^2)^t exactly (t = 0
+for the kernel norm). Angular panels double away from one Gauss panel on
+[0, gap/16]. The error reached on nu_alpha is stated with
+``constants.KERNEL_NORM_BUDGET``. The envelope's upper side sums the inner
+integral in one form, (1 - x)^c expm1((c+1) log1p(y)) / ((c+1) y), that does
+not cancel for any |z| or node.
 
 The module also predicts the Calderon-Zygmund size and
 smoothness constants from the measure's critical index and verifies every
@@ -213,33 +217,31 @@ def double_integral_eval(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
 _POLAR_ORDER = 8
 
 
-def _polar_radii(gap: float) -> np.ndarray:
-    """Radial breaks 1 - 2^-k, k = 0..d, with d = ceil(log2(1/gap)) + 2: every
-    panel of the polar rule but the last one, [1 - 2^-d, 1]."""
-    depth = int(np.ceil(-np.log2(gap))) + 2
-    return 1.0 - 2.0 ** (-np.arange(depth + 1, dtype=float))
-
-
-def _polar_angles(gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angular nodes on [0, pi], one Gauss panel on [0, gap/16] and panels
-    doubling from there, weights divided by pi (the integrand is even in theta)."""
-    breaks = np.concatenate(([0.0], geometric_breaks(gap / 16.0, np.pi)))
-    theta, w = panel_rule(breaks, _POLAR_ORDER)
-    return theta, w / np.pi
-
-
-def _graded_polar(s: float):
-    """Polar rule resolving |1 - s*rho*e^(i theta)|-type concentration at theta=0.
+def _graded_polar(s: float, t: float = 0.0):
+    """Polar rule resolving |1 - s*rho*e^(i theta)|-type concentration at theta=0,
+    with the radial weight (1 - rho^2)^t folded in, t > -1.
 
     Returns (rho, w_rho, theta, w_theta) with the area factors folded in so that
-    integral g dA ~ sum_ij w_rho[i] w_theta[j] g(rho_i e^(i theta_j)) for g even
-    in theta. Both meshes are sized to the gap 1 - s: radial panels halve
-    toward rho = 1 down to a last panel a few times narrower than the gap, and
-    angular panels double away from a first panel [0, gap/16].
+    integral (1 - |lam|^2)^t g dA ~ sum_ij w_rho[i] w_theta[j] g(rho_i e^(i theta_j))
+    for g even in theta. Both meshes are sized to the gap 1 - s: radial breaks
+    1 - 2^-k, k = 0..d, d = ceil(log2(1/gap)) + 2, then a last panel [1 - 2^-d, 1]
+    that is Gauss-Jacobi in v = 1 - rho, carrying v^t of (1 - rho^2)^t =
+    v^t (2 - v)^t exactly; angular panels double away from a first panel
+    [0, gap/16] on [0, pi], weights divided by pi.
     """
     gap = max(1.0 - s, 1e-15)
-    rho, g = panel_rule(np.append(_polar_radii(gap), 1.0), _POLAR_ORDER)
-    return (rho, g * 2.0 * rho, *_polar_angles(gap))
+    depth = int(np.ceil(-np.log2(gap))) + 2
+    breaks = 1.0 - 2.0 ** (-np.arange(depth + 1, dtype=float))
+    rho, g = panel_rule(breaks, _POLAR_ORDER)
+    g *= (1.0 - rho * rho) ** t
+    h = 1.0 - breaks[-1]
+    x, gj = jacobi_rule(_POLAR_ORDER, t)
+    v = h * x
+    rho = np.concatenate((rho, 1.0 - v))
+    w_rho = np.concatenate((g, h ** (t + 1.0) * gj * (2.0 - v) ** t)) * 2.0 * rho
+    theta, w_theta = panel_rule(np.concatenate(([0.0], geometric_breaks(gap / 16.0, np.pi))),
+                                _POLAR_ORDER)
+    return rho, w_rho, theta, w_theta / np.pi
 
 
 def kernel_lp_norm(mu: RadialMeasure, z, p: float) -> float:
@@ -290,32 +292,19 @@ def pnorm_envelope(mu: RadialMeasure, z, p: float) -> tuple[float, float]:
     x = float(np.abs(z)) ** 2
     lower = (1.0 - x) ** (2.0 / p - 1.0) * float(
         np.real(_resolvent(mu, x)))
+    # J(u)/u with J(u) = integral_{1-u}^1 (1 - t x)^c dt, c = 2/p - 2, is
+    # (1 - x)^c expm1((c+1) log1p(y)) / ((c+1) y), y = u x/(1 - x); log1p(y)/y
+    # at c = -1 (p = 2), and (1 - x)^c at y = 0. No form cancels, for any x and
+    # u >= 0. Atoms enter as extra nodes of the outer rule.
     c = 2.0 / p - 2.0
-
-    def inner_over_u(u: np.ndarray) -> np.ndarray:
-        # J(u)/u with J(u) = integral_{1-u}^{1} (1 - t x)^c dt, stable for small u
-        u = np.asarray(u, dtype=float)
-        if x == 0.0:
-            return np.ones_like(u)
-        y = u * x / (1.0 - x)
-        out = np.empty_like(u)
-        tiny = y < 1e-6
-        base = (1.0 - x) ** c
-        out[tiny] = base * (1.0 + 0.5 * c * y[tiny])
-        big = ~tiny
-        if np.any(big):
-            ub = u[big]
-            if c == -1.0:
-                J = np.log1p(ub * x / (1.0 - x)) / x
-            else:
-                J = (((1.0 - x) + ub * x) ** (c + 1.0) - (1.0 - x) ** (c + 1.0)) / (x * (c + 1.0))
-            out[big] = J / ub
-        return out
-
     u, wt = _rule_for_gap(mu, 1.0 - x)
-    upper = float(np.dot(wt, inner_over_u(u)))
-    for a in mu.atoms:
-        upper += a.mass * float(inner_over_u(np.array([1.0 - a.x]))[0])
+    u = np.concatenate((u, [1.0 - a.x for a in mu.atoms]))
+    wt = np.concatenate((wt, [a.mass for a in mu.atoms]))
+    y = u * x / (1.0 - x)
+    lg = np.log1p(y)
+    growth = lg if c == -1.0 else np.expm1((c + 1.0) * lg) / (c + 1.0)
+    inner = (1.0 - x) ** c * np.divide(growth, y, out=np.ones_like(y), where=y > 0.0)
+    upper = float(np.dot(wt, inner))
     c_p = math.exp((math.lgamma(2.0 * p - 2.0) - 2.0 * math.lgamma(p)) / p)
     return lower, c_p * upper
 
@@ -397,18 +386,7 @@ def forelli_rudin_check(t_exp: float, c_exp: float, z) -> tuple[float, float]:
     if t_exp <= -1.0 or c_exp <= 0.0:
         raise ValueError("need t > -1 and c > 0")
     s = float(np.abs(z))
-    gap = max(1.0 - s, 1e-15)
-    breaks = _polar_radii(gap)
-    rho, g = panel_rule(breaks, _POLAR_ORDER)
-    g *= (1.0 - rho * rho) ** t_exp
-    # the last panel [1 - h, 1] in v = 1 - rho carries v^t exactly (Gauss-Jacobi),
-    # (1 - rho^2)^t = v^t (2 - v)^t
-    h = 1.0 - breaks[-1]
-    x, gj = jacobi_rule(_POLAR_ORDER, t_exp)
-    v = h * x
-    rho = np.concatenate((rho, 1.0 - v))
-    w_rho = np.concatenate((g, h ** (t_exp + 1.0) * gj * (2.0 - v) ** t_exp)) * 2.0 * rho
-    theta, w_theta = _polar_angles(gap)
+    rho, w_rho, theta, w_theta = _graded_polar(s, t_exp)
     w = s * rho[:, None] * np.exp(-1j * theta)[None, :]
     vals = np.abs(1.0 - w) ** -(2.0 + c_exp + t_exp)
     integral = float(w_rho @ vals @ w_theta)

@@ -741,11 +741,11 @@ class CriticalIndex:
     interval: tuple[float, float] | None = None  # bisection bracket on s0, when used
 
 
-def _bisect_s0(mu: RadialMeasure, tol: float = 1e-3) -> tuple[float, float]:
+def _bisect_s0(mu: RadialMeasure) -> tuple[float, float]:
     lo, hi = 0.0, 1.0  # finite at s=0 (finite measure); treat 1 as divergent cap
     if not singular_moment(mu, 0.0).is_finite:
         return 0.0, 0.0
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if singular_moment(mu, mid).is_finite:
             lo = mid

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import constants as cns
 from ._gridquad import moment_sum
-from .measure import RadialMeasure, total_mass
+from .measure import RadialMeasure, critical_index, total_mass
 
 __all__ = [
     "MultiplierSequence",
@@ -227,8 +227,6 @@ def attaining_subsequence(mu: RadialMeasure, N: int, eps: float = 0.05) -> np.nd
     constructive description of the set exists, so this detection is
     best-effort with eps as the declared tolerance flag.
     """
-    from .measure import critical_index
-
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
     s0 = critical_index(mu).s0

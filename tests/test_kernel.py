@@ -339,6 +339,15 @@ class TestKernelNorm:
                 got = kernel_lp_norm(mu, s, p)
                 assert abs(got - ref) <= cns.KERNEL_NORM_BUDGET * ref, (s, p)
 
+    @pytest.mark.parametrize("t", [-0.9, -0.5, 0.0, 1.0])
+    def test_polar_rule_weight_mass(self, t):
+        # the rule carries (1 - |lam|^2)^t: its total mass is the integral of
+        # (1 - |lam|^2)^t dA, 1/(t + 1), at every gap
+        for s in (0.0, 0.9, 0.999, 1.0 - 1e-6):
+            _, w_rho, _, w_theta = _graded_polar(s, t)
+            got = float(np.sum(w_rho) * np.sum(w_theta))
+            assert abs(got - 1.0 / (t + 1.0)) <= 1e-12 / (t + 1.0), (s, t)
+
     def test_overflow_raises_without_warning(self):
         # |K|^2 overflows double precision; the norm raises, as
         # diskquad.lp_norm does, with no RuntimeWarning (errors in the suite)
@@ -388,6 +397,38 @@ class TestEnvelope:
         _, up = pnorm_envelope(mu, z, p)
         assert up / _c_p(p) < norm / 1.01
         assert norm <= up
+
+    @pytest.mark.parametrize("name", ["lebesgue", "power", "nu_alpha", "lebesgue+atom"])
+    def test_upper_against_mpmath(self, name):
+        # C_p sum_i w_i J(u_i)/u_i on the same outer rule, atoms as extra nodes,
+        # with J(u) = integral_{1-u}^1 (1 - t x)^(2/p-2) dt in closed form at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mu = {"lebesgue": RadialMeasure.lebesgue(),
+              "power": RadialMeasure.power(1.0, -0.5),
+              "nu_alpha": RadialMeasure.nu_alpha(1.5),
+              "lebesgue+atom": RadialMeasure.lebesgue() + RadialMeasure.dirac(0.99),
+              }[name]
+        for z in (0.01, 0.5, 0.9, 0.999):
+            x = z ** 2
+            u, wt = _rule_for_gap(mu, 1.0 - x)
+            u = np.concatenate((u, [1.0 - a.x for a in mu.atoms]))
+            wt = np.concatenate((wt, [a.mass for a in mu.atoms]))
+            for p in (1.05, 1.5, 2.0, 3.0, 8.0):
+                with mpmath.workdps(40):
+                    xm, pm = mpmath.mpf(x), mpmath.mpf(p)
+                    e = 2 / pm - 1
+                    total = mpmath.mpf(0)
+                    for ui, wi in zip(u, wt):
+                        um = mpmath.mpf(float(ui))
+                        if p == 2.0:
+                            j = mpmath.log1p(um * xm / (1 - xm)) / xm
+                        else:
+                            j = ((1 - xm + um * xm) ** e - (1 - xm) ** e) / (xm * e)
+                        total += mpmath.mpf(float(wi)) * j / um
+                    c_p = (mpmath.gamma(2 * pm - 2) / mpmath.gamma(pm) ** 2) ** (1 / pm)
+                    ref = float(c_p * total)
+                _, up = pnorm_envelope(mu, z, p)
+                assert abs(up - ref) <= 1e-14 * ref, (z, p)
 
     def test_upper_constant_is_sharp(self):
         # an atom near 1 brings the norm within a few percent of C_p times
