@@ -33,8 +33,7 @@ def jacobi_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
     Jacobi matrix of the weight (1 + x)^beta on [-1, 1], mapped to [0, 1], and
     the weights the squared first eigenvector components times the mass
-    1/(beta + 1). numpy's eigh, because scipy.special.roots_jacobi imports
-    scipy.linalg on its first call (+6 MB resident).
+    1/(beta + 1), by numpy's eigh: the package depends on numpy alone.
     """
     n = np.arange(1, order, dtype=float)
     s = 2.0 * n + beta

@@ -51,6 +51,8 @@ _CHUNK = 1 << 19
 # caller's point loop (64 KiB) stays below glibc's 128 KiB mmap threshold, so
 # its cost does not depend on what the process freed before
 _NODE_BLOCK = 1 << 12
+# element cap on one (B x points) array of powers in _block_horner
+_HORNER_CHUNK = 1 << 14
 # geometric tau grid of the weak-L^q quasi-norm
 _TAU_POINTS = 200
 
@@ -101,12 +103,19 @@ class TaylorFunction:
         return self.coefficients.size - 1
 
     def __call__(self, z) -> np.ndarray | complex:
+        """Horner's rule where the points outnumber the squared coefficient
+        count, so that each of its steps is a long vector operation; block
+        Horner (``_block_horner``) elsewhere, where its per-step overhead,
+        one numpy operation per coefficient, would dominate."""
         z = np.asarray(z, dtype=complex)
         c = self.coefficients
-        out = np.full(z.shape, c[-1], dtype=complex)
-        for a in c[-2::-1]:
-            out *= z
-            out += a
+        if c.size * c.size <= z.size:
+            out = np.full(z.shape, c[-1], dtype=complex)
+            for a in c[-2::-1]:
+                out *= z
+                out += a
+        else:
+            out = _block_horner(c, z.ravel()).reshape(z.shape)
         return complex(out) if out.ndim == 0 else out
 
     def derivative(self) -> "TaylorFunction":
@@ -114,6 +123,37 @@ class TaylorFunction:
         if c.size == 1:
             return TaylorFunction.from_array([0.0])
         return TaylorFunction.from_array(c[1:] * np.arange(1, c.size))
+
+
+def _block_horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_n c_n z^n as Horner in z^B over the block sums
+    Q_j(z) = sum_i c_(jB+i) z^i, n = jB + i, B = ceil(sqrt(size)).
+
+    The Q_j of a chunk of points are one (J x B) by (B x points) product
+    with the powers z^0..z^(B-1), so a chunk costs about 2B numpy operations
+    instead of one per coefficient.
+    """
+    B = math.isqrt(c.size - 1) + 1
+    J = -(-c.size // B)  # J <= B
+    blocks = np.zeros(J * B, dtype=complex)
+    blocks[:c.size] = c
+    blocks = blocks.reshape(J, B)
+    out = np.empty(z.shape, dtype=complex)
+    step = max(1, _HORNER_CHUNK // B)
+    for lo in range(0, z.size, step):
+        zs = z[lo:lo + step]
+        powers = np.empty((B, zs.size), dtype=complex)
+        powers[0] = 1.0
+        for i in range(1, B):
+            np.multiply(powers[i - 1], zs, out=powers[i])
+        sums = blocks @ powers
+        zB = powers[-1] * zs
+        acc = sums[-1]
+        for j in range(J - 2, -1, -1):
+            acc *= zB
+            acc += sums[j]
+        out[lo:lo + step] = acc
+    return out
 
 
 def _radial_breaks(depth: int) -> np.ndarray:

@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,3 +307,60 @@ class TestFrontDoor:
             lines = err.getvalue().splitlines()
             assert out.getvalue() == ""
             assert by_argparse or (len(lines) == 1 and lines[0].startswith("error: "))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs a module (``-m`` given) or a script as __main__ with every scipy import
+# refused, as in an environment that has no scipy installed.
+_NO_SCIPY = """
+import runpy, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+if sys.argv[1] == "-m":
+    sys.argv = sys.argv[2:]
+    runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+else:
+    sys.argv = sys.argv[1:]
+    runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+# the README's commands and every demo script
+_RUNTIME_CASES = {
+    "classify": ["classify", "--measure", "lebesgue", "--p", "4/3", "--q", "4"],
+    "verify": ["verify", "--measure", "nu_alpha:1.5", "--suite", "all"],
+    "mn": ["mn", "--measure", "lebesgue", "--N", "64", "--out", "mn.csv"],
+    "kernel-norm": ["kernel-norm", "--measure", "power:1,-0.5", "--z", "0.5", "0.9", "0.99",
+                    "--p", "1.5"],
+    "ratio-scan": ["ratio-scan", "--measure", "lebesgue", "--p", "4/3", "--q", "4",
+                   "--j-start", "3", "--j-stop", "8"],
+    "region": ["region", "--c", "4/3", "--resolution", "64", "--out", "region.csv"],
+    **{p.name: p for p in sorted((ROOT / "demos").glob("*.py"))},
+}
+
+
+class TestScipyFreeRuntime:
+    @pytest.mark.parametrize("case", list(_RUNTIME_CASES))
+    def test_runs_without_scipy(self, case, tmp_path):
+        # the same stdout and files as an unguarded run, each in a fresh interpreter
+        spec = _RUNTIME_CASES[case]
+        args = [str(spec)] if isinstance(spec, Path) else ["-m", "shimorin_lab.cli", *spec]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        runs = []
+        for name, prefix in (("plain", []), ("guarded", ["-c", _NO_SCIPY])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            proc = subprocess.run([sys.executable, *prefix, *args], cwd=cwd, env=env,
+                                  capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            runs.append((proc.stdout, {f.name: f.read_bytes() for f in cwd.iterdir()}))
+        assert runs[1] == runs[0]
+        assert runs[0][0] or runs[0][1]

@@ -1,5 +1,8 @@
 """Disk quadrature rules, L^p/weak norms, Bloch seminorm."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +20,8 @@ from shimorin_lab.diskquad import (
     lp_norm,
     weak_norm,
 )
-from shimorin_lab.testfns import box, indicator_testfn
+from shimorin_lab.measure import RadialMeasure
+from shimorin_lab.testfns import box, indicator_response, indicator_testfn
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +235,54 @@ class TestPolynomialSampler:
             with pytest.raises(NonFiniteSampleError) as err:
                 lp_norm(huge, 2.0, rule)
             assert abs(err.value.node) < 1.0
+
+
+def mp_polyval(coeffs: np.ndarray, z: complex) -> complex:
+    """sum c_n z^n at 30 digits."""
+    with mp.workdps(30):
+        return complex(mp.polyval([mp.mpc(complex(c)) for c in coeffs[::-1]], mp.mpc(z)))
+
+
+class TestTaylorEvaluation:
+    """Block Horner where the points are few, Horner where they are many; both
+    to 1e-13 of sum |c_n| |z|^n against mpmath."""
+
+    @staticmethod
+    def scale(coeffs: np.ndarray, z: complex) -> float:
+        return float(np.sum(np.abs(coeffs) * abs(z) ** np.arange(coeffs.size)))
+
+    ZS = np.array([0.0, 0.5, -0.3 + 0.4j, 0.999j, 0.9999 * np.exp(2.0j)])
+
+    @pytest.mark.parametrize("size", [2, 17, 101, 4097])
+    def test_block_horner_against_mpmath(self, size, rng):
+        # one point at a time: fewer points than size^2
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        tf = TaylorFunction.from_array(c)
+        for z in self.ZS:
+            got = tf(z)
+            assert isinstance(got, complex)
+            assert abs(got - mp_polyval(c, z)) <= 1e-13 * self.scale(c, z)
+
+    @pytest.mark.parametrize("size", [1, 2, 17, 40])
+    def test_horner_against_mpmath(self, size, rng):
+        # each point repeated so that the points number at least size^2
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        reps = -(-size * size // self.ZS.size)
+        got = TaylorFunction.from_array(c)(np.repeat(self.ZS, reps))[::reps]
+        for z, v in zip(self.ZS, got):
+            assert abs(v - mp_polyval(c, z)) <= 1e-13 * self.scale(c, z)
+
+    def test_shape_is_kept(self, rng):
+        tf = TaylorFunction.from_array(rng.normal(size=50))
+        z = 0.5 * np.exp(1j * rng.uniform(0.0, 6.0, (3, 4)))
+        out = tf(z)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out.ravel(), tf(z.ravel()))
+
+    def test_indicator_response_at_the_subharmonic_point(self):
+        # 143361 coefficients at z_t = sqrt(1 - t), t = 2^-10, one point
+        t = 2.0 ** -10
+        tf = indicator_response(RadialMeasure.lebesgue(), t)
+        z = math.sqrt(1.0 - t)
+        c = tf.coefficients
+        assert abs(tf(z) - mp_polyval(c, z)) <= 1e-13 * self.scale(c, z)

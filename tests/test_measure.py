@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import beta as beta_fn
-from scipy.special import hyp2f1
 
 from conftest import random_catalog_measure
 from shimorin_lab.measure import (
@@ -21,7 +19,9 @@ from shimorin_lab.measure import (
     TabulatedDensity,
     carleson_constant,
     critical_index,
+    _betainc,
     _ladder,
+    _ZETA,
     hyperbolic_integral,
     reciprocal_gap_integral,
     singular_moment,
@@ -81,6 +81,33 @@ class TestTailMass:
             quad = float(np.dot(g, d.kappa * u ** d.beta))
             quad += d.kappa * (t * 2.0 ** -50) ** (d.beta + 1.0) / (d.beta + 1.0)
             assert d.tail(t) == pytest.approx(quad, rel=1e-10)
+
+
+class TestSpecialFunctions:
+    """The scalar special functions measure.py sums itself, against mpmath."""
+
+    def test_zeta_table_within_one_ulp(self):
+        with mp.workdps(40):
+            for k, v in zip(range(2, 41), _ZETA):
+                assert abs(mp.mpf(float(v)) - mp.zeta(k)) <= math.ulp(v)
+
+    # near 0, on both sides of the branch point 1/2, and near 1
+    BETAINC_X = [1e-300, 1e-12, 2.0 ** -40, 1e-3, 0.3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.7,
+                 0.999, 1.0 - 1e-12]
+
+    @pytest.mark.parametrize("alpha", [1.001, 1.05, 1.5, 1.95, 1.999])
+    def test_betainc_against_mpmath(self, alpha):
+        # I_x(a, b) for (a, b) = (2 - alpha, alpha - 1), the nu_alpha tail, and
+        # its swap; for x <= 1/2 to 2e-15 relative, above by the complement
+        # 1 - I_(1-x)(b, a), so to a few ulps of 1
+        for a, b in ((2.0 - alpha, alpha - 1.0), (alpha - 1.0, 2.0 - alpha)):
+            assert _betainc(a, b, 0.0) == 0.0 and _betainc(a, b, 1.0) == 1.0
+            for x in self.BETAINC_X:
+                with mp.workdps(40):
+                    ref = float(mp.betainc(a, b, 0, x, regularized=True))
+                got = _betainc(a, b, x)
+                bound = 2e-15 * ref if x <= 0.5 else 2e-15
+                assert abs(got - ref) <= bound, (a, b, x, got, ref)
 
 
 class TestSingularMoment:
@@ -154,6 +181,21 @@ def mp_disk_moment(density, s: float) -> float:
         return float((left + right) / mp.beta(a - 1, 2 - a))
 
 
+def mp_disk_closed_form(density, s: float) -> float:
+    """The closed form of integral (1-r^2)^-s d nu at 40 digits, from the float
+    parameters: kappa 2^-s / e 2F1(s, e; e + 1; 1/2) with e = beta - s + 1, or
+    2^-s B(c, d) 2F1(s, c; c + d; 1/2) / B(alpha - 1, 2 - alpha) with
+    c = 2 - alpha - s, d = alpha - 1."""
+    with mp.workdps(40):
+        S = mp.mpf(s)
+        if isinstance(density, PowerDensity):
+            e = mp.mpf(density.beta) - S + 1
+            return float(mp.mpf(density.kappa) * 2 ** -S / e * mp.hyp2f1(S, e, e + 1, 0.5))
+        a = mp.mpf(density.alpha)
+        c, d = 2 - a - S, a - 1
+        return float(2 ** -S * mp.beta(c, d) * mp.hyp2f1(S, c, c + d, 0.5) / mp.beta(d, 2 - a))
+
+
 class TestDiskMomentClosedForms:
     @pytest.mark.parametrize("density, s", [
         (NuAlphaDensity(1.9), 0.05), (NuAlphaDensity(1.05), 0.9), (NuAlphaDensity(1.5), 0.3),
@@ -164,6 +206,8 @@ class TestDiskMomentClosedForms:
         # truncation ladder cannot tell from growth (nu_1.9 at s = 0.05)
         v = singular_moment(RadialMeasure(densities=(density,)), s, "disk")
         assert v.is_finite and v.value == pytest.approx(mp_disk_moment(density, s), rel=1e-13)
+        expect = mp_disk_closed_form(density, s)
+        assert abs(v.value - expect) <= 2e-15 * expect
 
     @pytest.mark.parametrize("mu", [RadialMeasure.nu_alpha(1.5), RadialMeasure.power(1.0, -0.5),
                                     RadialMeasure.nu_alpha(1.9)])
@@ -191,21 +235,15 @@ class TestURule:
     @pytest.mark.parametrize("kappa, b, s", [(1.0, 0.5, 0.3), (2.0, -0.5, 0.25),
                                              (1.0, 0.0, 0.9), (1.5, 1.2, 0.5)])
     def test_power_disk_moment_oracle(self, kappa, b, s):
-        # kappa 2^-s / e 2F1(s, e; e + 1; 1/2), e = beta - s + 1
         v = singular_moment(RadialMeasure.power(kappa, b), s, "disk")
-        e = b - s + 1.0
-        assert v.is_finite
-        assert v.value == pytest.approx(kappa * 2.0 ** -s / e * hyp2f1(s, e, e + 1.0, 0.5),
-                                        rel=1e-9)
+        expect = mp_disk_closed_form(PowerDensity(kappa, b), s)
+        assert v.is_finite and abs(v.value - expect) <= 2e-15 * expect
 
     @pytest.mark.parametrize("alpha, s", [(1.5, 0.3), (1.3, 0.5), (1.7, 0.1)])
     def test_nu_alpha_disk_moment_oracle(self, alpha, s):
-        # 2^-s B(c, d) 2F1(s, c; c + d; 1/2) / B(alpha - 1, 2 - alpha), c = 2 - alpha - s
         v = singular_moment(RadialMeasure.nu_alpha(alpha), s, "disk")
-        c, d = 2.0 - alpha - s, alpha - 1.0
-        expect = (2.0 ** -s * beta_fn(c, d) * hyp2f1(s, c, c + d, 0.5)
-                  / beta_fn(alpha - 1.0, 2.0 - alpha))
-        assert v.is_finite and v.value == pytest.approx(expect, rel=1e-9)
+        expect = mp_disk_closed_form(NuAlphaDensity(alpha), s)
+        assert v.is_finite and abs(v.value - expect) <= 2e-15 * expect
 
 
 class TestCriticalIndex:

@@ -18,7 +18,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from conftest import random_catalog_measure
 from shimorin_lab._gridquad import moment_sum
@@ -116,6 +116,18 @@ class TestClosedFormsAgainstMpmath:
             X = mp.mpf(x)
             ref = np.array([float((1 - X ** (k + 1)) / ((k + 1) * (1 - X))) for k in n])
         assert max_rel(moments_at(RadialMeasure.dirac(x), n), ref) <= 5e-16
+
+    def test_lebesgue_dyadic_grid(self):
+        # H_(n+1)/(n+1) by the psi series, on n <= 80 and 2^k - 1, 2^k, 2^k + 1 to 2^17
+        k = 2 ** np.arange(18)
+        n = np.unique(np.concatenate((np.arange(81), k - 1, k, k + 1)))
+        n = n[n <= 2 ** 17]
+        assert max_rel(PowerDensity(1.0, 0.0).moments(n), mp_power_moment(0.0, n)) <= 1.7e-15
+
+    def test_lebesgue_matches_scipy_digamma(self):
+        n = np.arange(2 ** 17 + 1)
+        ref = (digamma(n + 2.0) + np.euler_gamma) / (n + 1.0)
+        assert max_rel(PowerDensity(1.0, 0.0).moments(n), ref) <= 1e-15
 
     def test_lebesgue_prefix(self):
         ref = mp_power_moment(0.0, MP_GRID)
