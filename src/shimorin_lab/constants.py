@@ -68,3 +68,11 @@ KERNEL_NORM_BUDGET = 1e-11
 # the indicator responses of Lebesgue, power beta = +-0.5 and nu_1.5 for
 # t = 2^-3 .. 2^-10.
 EVEN_NORM_BUDGET = 1e-13
+
+# Relative error budget of diskquad.weak_norm on testfns._series_rule, the
+# rule's error alone (the sup over the rule's samples is exact). Against a
+# refined rule (radial depth + 4, Gauss order 16, the same angles) it reached
+# at most 1.65e-3 on the indicator responses of Lebesgue, power beta = +-0.5
+# and nu_1.5 at t = 2^-4 .. 2^-8 and q in {4/3, 2, 3}. Sizing the radial depth
+# to the degree moved those values by at most 1.1e-8 against depth 30.
+WEAK_NORM_BUDGET = 2.5e-3

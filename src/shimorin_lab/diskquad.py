@@ -4,8 +4,10 @@ Rules are tensor products of a radial mesh on [0, 1) (geometric panels graded
 toward the boundary, Gauss-Legendre on each, the 2*rho area factor folded into
 the weights) with a uniform angular grid, normalized so that the constant 1
 integrates to 1. Besides plain integrals and L^p norms this module supplies
-the weak-L^q quasi-norm via the distribution function and the Bloch seminorm
-|f(0)| + sup (1 - |z|^2) |f'(z)| on a boundary-refining grid.
+the distribution function, the weak-L^q quasi-norm (the exact sup over the
+rule's samples, found from a histogram and a sort of the few samples that can
+attain it) and the Bloch seminorm |f(0)| + sup (1 - |z|^2) |f'(z)| on a
+boundary-refining grid.
 
 Every norm reads only |f|, through one polar-grid sampler, which yields
 blocks of radii with |f| on the M-point circle of each. A TaylorFunction is
@@ -53,8 +55,14 @@ _CHUNK = 1 << 19
 _NODE_BLOCK = 1 << 12
 # element cap on one (B x points) array of powers in _block_horner
 _HORNER_CHUNK = 1 << 14
-# geometric tau grid of the weak-L^q quasi-norm
-_TAU_POINTS = 200
+# float-bit bins of weak_norm's histogram: a double's bits >> 40 keep its
+# exponent and 12 mantissa bits, so 4096 bins per octave, ordered as the values
+_BIN_SHIFT = 40
+# relative slack of weak_norm's bin tests against rounding in the weight sums
+_WEAK_SLACK = 1e-9
+# samples per histogram update of weak_norm: its int64 bins and their weights
+# stay at 512 KiB each, well below the sampler's block
+_WEAK_PIECE = 1 << 16
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -329,35 +337,100 @@ def distribution_function(f, tau: float, rule: DiskRule) -> float:
     return float(_radial_sum(f, rule, lambda a: np.mean(a > tau, axis=1)))
 
 
-def weak_norm(f, q: float, rule: DiskRule) -> float:
-    """Weak-L^q quasi-norm sup_tau tau * d_f(tau)^(1/q), tau on a geometric grid.
+def _bin_of(x: float) -> int:
+    """Float-bit bin of a double x >= 0."""
+    return int(np.float64(x).view(np.int64)) >> _BIN_SHIFT
 
-    The grid spans the observed |f| range on the rule's nodes (top point nudged
-    just below the max so two-valued functions attain their sup); a finite grid
-    under-estimates the true sup, and refining the rule doubles the grid.
+
+def _bin_edges(bins: np.ndarray) -> np.ndarray:
+    """Lower edges of float-bit bins: the doubles whose bits are bins << _BIN_SHIFT."""
+    return (bins << _BIN_SHIFT).view(np.float64)
+
+
+def _weak_candidates(f, inv_q: float, rule: DiskRule):
+    """Pass 1 of ``weak_norm``: the float-bit bins that can hold the sup.
+
+    Returns (base, cand, above): bin base + i can hold the sup where cand[i],
+    and above[i] is the weight of the bins above it that cannot. None for a
+    field that is zero on every sample.
+    """
+    M = rule.angular_count
+    rows = max(1, _WEAK_PIECE // M)
+    slack = 1.0 - _WEAK_SLACK
+    total = rule.total_weight ** inv_q
+    # hist[i] is the weight of bin base + i; the bins below base are dropped
+    base, hist, best = 0, np.zeros(0), 0.0
+    for w, a in _rule_blocks(f, rule):
+        a = np.asarray(a, dtype=float)
+        w = w / M
+        # each circle's largest sample, alone, is a lower bound too
+        best = max(best, float(np.max(a.max(axis=1) * w ** inv_q)))
+        floor = max(base, _bin_of(best * slack / total))
+        top = max(base + hist.size, _bin_of(a.max()) + 1)
+        # slot 0 collects the samples below the floor
+        grown = np.zeros(top - floor + 1)
+        kept = hist[floor - base:]
+        grown[1:1 + kept.size] = kept
+        for lo in range(0, len(a), rows):
+            bins = a[lo:lo + rows].view(np.int64) >> _BIN_SHIFT
+            bins -= floor - 1
+            np.maximum(bins, 0, out=bins)
+            grown += np.bincount(bins.ravel(), np.repeat(w[lo:lo + rows], M),
+                                 minlength=grown.size)
+        base, hist = floor, grown[1:]
+        S = np.cumsum(hist[::-1])[::-1]
+        L = _bin_edges(base + np.arange(hist.size, dtype=np.int64))
+        best = max(best, float(np.max(L * S ** inv_q)))
+    if best == 0.0:
+        return None
+    U = _bin_edges(base + 1 + np.arange(hist.size, dtype=np.int64))
+    cand = U * S ** inv_q >= best * slack
+    above = np.cumsum(np.where(cand, 0.0, hist)[::-1])[::-1]
+    return base, cand, np.append(above[1:], 0.0)
+
+
+def weak_norm(f, q: float, rule: DiskRule) -> float:
+    """Weak-L^q quasi-norm sup_tau tau * d_f(tau)^(1/q), exact on the rule's samples.
+
+    With the samples a sorted in decreasing order and W_k the rule weight of
+    {a >= a_(k)}, the sup is max_k a_(k) W_k^(1/q). Two passes over the field
+    find it in bounded memory, without sorting the field. Pass 1 builds a
+    weighted histogram of |f| on float-bit bins (4096 per octave); S_j, the
+    weight at or above bin j's lower edge L_j, gives the lower bound
+    best = max_j L_j S_j^(1/q). The sup is taken at a sample a with
+    a W^(1/q) >= best and W <= the total weight, so the bins below
+    best / total^(1/q) are dropped as the bound rises. A bin with upper edge
+    U_j can hold the sup only if U_j S_j^(1/q) >= best; pass 2 keeps the
+    samples of those candidate bins, sorts them, and adds to each the weight
+    of the other bins above it.
     """
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    # two passes, each sampling the field: the range of |f|, then the counts;
-    # keeping the samples would hold the whole field (65536 x 372 at t = 2^-10
-    # in the ratio sweeps)
-    lo, hi = np.inf, 0.0
-    for w, a in _rule_blocks(f, rule):
-        lo = min(lo, float(a.min(where=a > 0.0, initial=np.inf)))
-        hi = max(hi, float(a.max()))
-    if hi == 0.0:
+    found = _weak_candidates(f, 1.0 / q, rule)
+    if found is None:
         return 0.0
-    taus = np.geomspace(min(lo * 0.999, hi * 0.5), hi * (1.0 - 1e-9), _TAU_POINTS)
-    bins = _TAU_POINTS + 1
-    mass = np.zeros(_TAU_POINTS)
+    base, cand, above = found
+    M = rule.angular_count
+    lowest = _bin_edges(np.int64(base + np.argmax(cand)))
+    vals, wts, where = [], [], []
     for w, a in _rule_blocks(f, rule):
-        # per circle: count samples by tau bin, suffix-sum to counts of {|f| > tau_j}
-        idx = np.searchsorted(taus, a, side="left") + bins * np.arange(len(a))[:, None]
-        counts = np.bincount(idx.ravel(), minlength=bins * len(a)).reshape(len(a), bins)
-        above = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        for row in (w / rule.angular_count)[:, None] * above:
-            mass += row
-    return _finite(float(np.max(taus * mass ** (1.0 / q))), f"weak-L^{q} norm")
+        flat = np.asarray(a, dtype=float).ravel()
+        keep = np.flatnonzero(flat >= lowest)
+        j = np.minimum((flat[keep].view(np.int64) >> _BIN_SHIFT) - base, cand.size - 1)
+        keep, j = keep[cand[j]], j[cand[j]]
+        vals.append(flat[keep])
+        wts.append(w[keep // M] / M)
+        where.append(j)
+    a = np.concatenate(vals)
+    order = np.argsort(-a, kind="stable")
+    a = a[order]
+    # a constant field puts every sample in one bin: sum its weights in
+    # extended precision, where the platform has it
+    W = np.cumsum(np.concatenate(wts)[order], dtype=np.longdouble)
+    W = (W + above[np.concatenate(where)[order]]).astype(float)
+    # along a run of tied samples W only grows, so the run's last sample,
+    # which carries the weight of all of them, gives its largest product
+    return float(np.max(a * W ** (1.0 / q)))
 
 
 def bloch_seminorm(f: SampledFunction, radial_depth: int = 30,

@@ -270,18 +270,29 @@ def _hyp2f1(a: float, b: float, c: float, x: float) -> float:
 def _betainc(a: float, b: float, x: float) -> float:
     """Regularized incomplete Beta I_x(a, b) for 0 < a, b <= 1 and 0 <= x <= 1.
 
-    I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x) for
-    x <= 1/2, and 1 - I_(1-x)(b, a) above, so the series always runs at an
-    argument <= 1/2. The upper branch is exact to a few ulps of 1, not of
-    I_x: where I_x is small there (b near 0), its relative error grows as
-    1/I_x.
+    For x <= 1/2, I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x).
+    Above, I_x = I_(1/2)(a, b) + J / B(a, b), J the integral of
+    s^(b-1) (1 - s)^(a-1) over [1 - x, 1/2]. Expanding (1 - s)^(a-1) gives
+    J = sum_k (1-a)_k / k! 2^-(b+k) (-expm1((b+k) log(2 (1 - x)))) / (b+k),
+    whose terms are positive and each at most half the one before. Nothing
+    cancels, so I_x keeps its relative accuracy where it is small (b near 0),
+    where the complement 1 - I_(1-x)(b, a) would keep only a few ulps of 1.
     """
-    if x > 0.5:
-        return 1.0 - _betainc(b, a, 1.0 - x)
-    if x == 0.0:
-        return 0.0
+    if x == 0.0 or x == 1.0:
+        return x
     beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-    return x ** a * (1.0 - x) ** b / (a * beta) * _hyp2f1(a + b, 1.0, a + 1.0, x)
+    if x <= 0.5:
+        return x ** a * (1.0 - x) ** b / (a * beta) * _hyp2f1(a + b, 1.0, a + 1.0, x)
+    log_2y = math.log(2.0 * (1.0 - x))
+    coef, terms, k = 1.0, [], 0
+    while True:
+        m = b + k
+        terms.append(coef * 2.0 ** -m * -math.expm1(m * log_2y) / m)
+        if terms[-1] <= 2.0 ** -60 * terms[0]:
+            break
+        coef *= (1.0 - a + k) / (k + 1.0)
+        k += 1
+    return _betainc(a, b, 0.5) + math.fsum(terms) / beta
 
 
 def _stirling_tail_step(y: np.ndarray, b: float) -> np.ndarray:

@@ -25,8 +25,10 @@ f and T f of the power and block families) are exact coefficient sums:
 ||g||_2k^2k = sum_n |d_n|^2 / (n + 1), d the coefficients of g^k, a k-fold
 FFT convolution (``_parseval_area``), at O(kN log kN) whatever t is. Weak-L^q,
 Bloch, odd or fractional q, and any SampledFunction stay on the diskquad
-sampler, which evaluates a TaylorFunction by FFT on a polar grid: |T f_t| has
-angular scale ~ t, so small t needs ~10^5 angular nodes.
+sampler, which evaluates a TaylorFunction by FFT on a polar grid sized to the
+polynomial (``_series_rule``): radial depth ceil(log2(N + 1)) + 2 for degree
+N, and angles for the angular scale ~ t of |T f_t| (~10^5 at small t) or, on
+the families, for the degree and the exponent.
 """
 
 from __future__ import annotations
@@ -273,6 +275,9 @@ _BOX_RULE = (32, 12)
 _MOMENT_ROWS = 1 << 9
 # degree of the power and block test polynomials
 _N_TERMS = 4096
+# angles per unit of qN/2 on a family polynomial at an odd or fractional q
+# (``_series_rule``); the tests hold its norms against twice the angles
+_ALIAS_MARGIN = 8
 
 
 def _box_response(mu: RadialMeasure, t: float, box_moments) -> TaylorFunction:
@@ -314,16 +319,30 @@ def aligned_response(mu: RadialMeasure, t: float) -> TaylorFunction:
     return _box_response(mu, t, moments)
 
 
-def _series_rule(t: float | None = None) -> DiskRule:
-    """Polar rule for a polynomial of angular scale ~ t (at least 64/t angles),
-    or, without t, for the degree-``_N_TERMS`` family polynomials (more angles
-    than the degree, so |f|^2 does not alias on the circle).
+def _series_rule(degree: int, t: float | None = None, q: float = 2.0) -> DiskRule:
+    """Polar rule for a polynomial of the given degree N, sampled at exponent q.
 
-    The angular count is a power of two, at least 4096; radial panels refine
-    dyadically toward the boundary.
+    Radial panels refine dyadically toward the boundary down to depth
+    ceil(log2(N + 1)) + 2, so the last panel is shorter than 1 / (4N): on it
+    rho^N stays above 3/4. The angular count is a power
+    of two: for a box response of angular scale ~ t, at least 64/t and 4096;
+    without t, for the degree-``_N_TERMS`` family polynomials, whose
+    coefficients do not decay, M > qN/2 at an even q (and for the Bloch
+    seminorm, q = inf, M > N), so that |f|^q = |f^(q/2)|^2 does not alias on
+    the circle. At an odd or fractional q, |f|^q is no trigonometric
+    polynomial: its aliasing decays only with the angle count, and the rule
+    takes ``_ALIAS_MARGIN`` max(q, 2) N / 2 angles.
     """
-    target = _N_TERMS + 1 if t is None else max(4096, int(64.0 / t))
-    return DiskRule.make(30, 12, 1 << int(math.ceil(math.log2(target))))
+    if t is not None:
+        target = max(4096, int(64.0 / t))
+    elif q == math.inf:
+        target = degree + 1
+    elif _even_half(q):
+        target = int(q) * degree // 2 + 1
+    else:
+        target = math.ceil(_ALIAS_MARGIN * max(q, 2.0) * degree / 2.0)
+    return DiskRule.make(degree.bit_length() + 2, 12,
+                         1 << (target - 1).bit_length())
 
 
 def _parseval_area(tf: TaylorFunction, k: int = 1) -> float:
@@ -415,13 +434,15 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     if family in ("indicator", "aligned"):
         response = indicator_response if family == "indicator" else aligned_response
         f_norm = box(param).area ** (1.0 / p)
-        tf, rule = response(mu, param), _series_rule(param)
+        tf = response(mu, param)
+        rule = _series_rule(tf.degree, param)
     elif family in ("power", "block"):
         f = power_testfn(param, _N_TERMS) if family == "power" else \
             block_testfn(mu, param, _N_TERMS)
         m = moment_prefix(mu, f.degree).values
-        tf, rule = TaylorFunction.from_array(m * f.coefficients), _series_rule()
-        f_norm = _strong_norm(f, p, rule)
+        tf = TaylorFunction.from_array(m * f.coefficients)
+        f_norm = _strong_norm(f, p, _series_rule(f.degree, q=p))
+        rule = _series_rule(tf.degree, q=q)
     else:
         raise ValueError(f"unknown family {family!r}")
     if q == math.inf:
@@ -471,7 +492,7 @@ def subharmonic_transfer_report(mu: RadialMeasure, t: float, q: float) -> Kernel
     tf = indicator_response(mu, t)
     lhs = abs(complex(tf(z_t))) ** q
     k = _even_half(q)
-    area = _parseval_area(tf, k) if k else lp_norm(tf, q, _series_rule(t)) ** q
+    area = _parseval_area(tf, k) if k else lp_norm(tf, q, _series_rule(tf.degree, t)) ** q
     rhs = (16.0 / (t * t)) * area
     return bound_report(f"subharmonic-transfer[t={t}]", np.array([lhs]),
                         np.array([rhs]), (np.array([z_t]),))

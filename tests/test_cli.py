@@ -119,6 +119,16 @@ class TestEmitters:
         ratios = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
+    def test_ratio_scan_weak_endpoint_plateaus(self, capsys):
+        # the weak-type bound at the endpoint (1, c), c = 4/3 for power beta = -0.5,
+        # on the default sweep t = 2^-3 .. 2^-8 (on 2^-3 .. 2^-6 alone the four
+        # increments are still level, and the sweep reads growing)
+        assert main(["ratio-scan", "--measure", "power:1,-0.5", "--p", "1", "--q", "4/3",
+                     "--weak"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 6
+        assert {r.split(",")[4] for r in rows} == {"plateaued"}
+
     def test_ratio_scan_aligned_bloch(self, capsys):
         # the Bloch target runs on the aligned family's series like the others
         assert main(["ratio-scan", "--measure", "lebesgue", "--p", "4", "--q", "inf",

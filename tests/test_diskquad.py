@@ -1,11 +1,13 @@
 """Disk quadrature rules, L^p/weak norms, Bloch seminorm."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from shimorin_lab import diskquad
 from shimorin_lab.diskquad import (
     DiskRule,
     NonFiniteSampleError,
@@ -21,7 +23,7 @@ from shimorin_lab.diskquad import (
     weak_norm,
 )
 from shimorin_lab.measure import RadialMeasure
-from shimorin_lab.testfns import box, indicator_response, indicator_testfn
+from shimorin_lab.testfns import _series_rule, box, indicator_response, indicator_testfn
 
 
 @pytest.fixture(scope="module")
@@ -161,13 +163,90 @@ class TestWeakNorm:
                 assert weak_norm(f, q, rule) <= lp_norm(f, q, rule) * (1 + 1e-9)
 
     def test_singular_regression(self, rule):
-        # |1-z|^-1 is weak-L^2 but not L^2; node-counting values recorded as a
-        # self-regression (first-run values on the default rule)
+        # |1-z|^-1 is weak-L^2 but not L^2; the pinned value is the sup over a
+        # full sort of the default rule's 79360 samples
         f = SampledFunction(lambda z: 1.0 / np.abs(1.0 - z))
         wk = weak_norm(f, 2.0, rule)
         st = lp_norm(f, 2.0, rule)
         assert wk <= st
-        assert wk == pytest.approx(40531.95023083419, rel=1e-9)
+        assert wk == pytest.approx(full_sort_weak_norm(f, 2.0, rule), rel=1e-13)
+        assert wk == pytest.approx(40531.95027136617, rel=1e-12)
+
+
+def full_sort_weak_norm(f, q: float, rule: DiskRule) -> float:
+    """max_k a_(k) W_k^(1/q) over every sample of the rule, by one full sort;
+    the cumulative weights are summed in extended precision."""
+    M = rule.angular_count
+    vals, wts = [], []
+    for lo, a in _circle_blocks(f, rule.radial_nodes, M):
+        vals.append(a.ravel())
+        wts.append(np.repeat(rule.radial_weights[lo:lo + len(a)] / M, M))
+    a = np.concatenate(vals)
+    order = np.argsort(-a, kind="stable")
+    a = a[order]
+    W = np.cumsum(np.concatenate(wts)[order], dtype=np.longdouble).astype(float)
+    last = np.append(a[1:] != a[:-1], True)
+    return float(np.max(a[last] * W[last] ** (1.0 / q)))
+
+
+def _poly(seed: int, real: bool) -> TaylorFunction:
+    c = np.random.default_rng(seed).normal(size=(2, 41)) * 0.9 ** np.arange(41)
+    return TaylorFunction.from_array(c[0] if real else c[0] + 1j * c[1])
+
+
+class TestWeakNormExact:
+    """The weak norm is the sup over its rule's samples, not an estimate of it."""
+
+    FIELDS = {
+        "complex polynomial": _poly(1, real=False),
+        "real polynomial": _poly(2, real=True),
+        "callable": SampledFunction(lambda z: np.exp(3.0 * z) + 1.0 / (1.2 - z)),
+        "two-valued indicator": indicator_testfn(0.25),
+        "constant": SampledFunction.constant(0.7),
+        "constant polynomial": TaylorFunction.from_array([2.0 - 1.0j]),
+        "zero on a half disk": SampledFunction(lambda z: np.maximum(z.real, 0.0)),
+        "monomial": TaylorFunction.from_array([0.0, 0.0, 0.0, 1.0]),
+        "zero": SampledFunction.constant(0.0),
+    }
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    @pytest.mark.parametrize("rule_args", [(8, 6, 64), (12, 8, 1024), (30, 10, 256)])
+    def test_equals_the_full_sort(self, name, rule_args):
+        f, rule = self.FIELDS[name], DiskRule.make(*rule_args)
+        for q in (1.0, 4.0 / 3.0, 2.0, 3.0):
+            ref = full_sort_weak_norm(f, q, rule)
+            assert abs(weak_norm(f, q, rule) - ref) <= 1e-13 * ref, (name, q)
+
+    def test_samples_the_field_twice(self, monkeypatch):
+        calls = []
+        sampler = diskquad._circle_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(diskquad, "_circle_blocks", counting)
+        t = 2.0 ** -5
+        tf = indicator_response(RadialMeasure.power(1.0, -0.5), t)
+        callable_f = self.FIELDS["callable"]
+        for f, rule in ((tf, _series_rule(tf.degree, t)), (callable_f, DiskRule.make())):
+            calls.clear()
+            weak_norm(f, 4.0 / 3.0, rule)
+            assert len(calls) <= 2
+
+    def test_memory_stays_below_the_grid_estimator(self):
+        # the 200-point tau grid that weak_norm replaced peaked at 18.05 MB on
+        # this call (tracemalloc); sorting the field would take 30 MB more
+        t = 2.0 ** -8
+        tf = indicator_response(RadialMeasure.power(1.0, -0.5), t)
+        rule = _series_rule(tf.degree, t)
+        tracemalloc.start()
+        try:
+            weak_norm(tf, 4.0 / 3.0, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18.05e6
 
 
 class TestBloch:

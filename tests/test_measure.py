@@ -98,16 +98,24 @@ class TestSpecialFunctions:
     @pytest.mark.parametrize("alpha", [1.001, 1.05, 1.5, 1.95, 1.999])
     def test_betainc_against_mpmath(self, alpha):
         # I_x(a, b) for (a, b) = (2 - alpha, alpha - 1), the nu_alpha tail, and
-        # its swap; for x <= 1/2 to 2e-15 relative, above by the complement
-        # 1 - I_(1-x)(b, a), so to a few ulps of 1
+        # its swap, to 2e-15 relative on both sides of x = 1/2
         for a, b in ((2.0 - alpha, alpha - 1.0), (alpha - 1.0, 2.0 - alpha)):
             assert _betainc(a, b, 0.0) == 0.0 and _betainc(a, b, 1.0) == 1.0
             for x in self.BETAINC_X:
                 with mp.workdps(40):
                     ref = float(mp.betainc(a, b, 0, x, regularized=True))
                 got = _betainc(a, b, x)
-                bound = 2e-15 * ref if x <= 0.5 else 2e-15
-                assert abs(got - ref) <= bound, (a, b, x, got, ref)
+                assert abs(got - ref) <= 2e-15 * ref, (a, b, x, got, ref)
+
+    @pytest.mark.parametrize("alpha", [1.001, 1.05, 1.5, 1.9])
+    def test_nu_alpha_tail_above_one_half(self, alpha):
+        # nu_alpha([1 - t, 1)) = I_t(2 - alpha, alpha - 1) is small for alpha
+        # near 1; a complement 1 - I_(1-t) would lose its relative accuracy
+        mu = RadialMeasure.nu_alpha(alpha)
+        for t in np.linspace(0.5, 0.999, 12)[1:]:
+            with mp.workdps(40):
+                ref = float(mp.betainc(2.0 - alpha, alpha - 1.0, 0, t, regularized=True))
+            assert abs(tail_mass(mu, t) - ref) <= 1e-14 * ref, (alpha, t)
 
 
 class TestSingularMoment:

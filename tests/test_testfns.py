@@ -7,7 +7,7 @@ import pytest
 
 from shimorin_lab import constants as cns
 from shimorin_lab import diskquad
-from shimorin_lab.diskquad import DiskRule, lp_norm
+from shimorin_lab.diskquad import DiskRule, lp_norm, weak_norm
 from shimorin_lab.measure import RadialMeasure, critical_index
 from shimorin_lab.multiplier import moment_prefix
 from shimorin_lab.operator import TaylorFunction, apply_multiplier, bergman_membership
@@ -209,7 +209,7 @@ class TestIndicatorResponse:
             for j in range(3, 9):
                 t = 2.0 ** -j
                 tf = indicator_response(cat[name], t)
-                rule = _series_rule(t)
+                rule = _series_rule(tf.degree, t)
                 l2, l4 = math.sqrt(_parseval_area(tf)), _parseval_area(tf, 2) ** 0.25
                 assert abs(lp_norm(tf, 2.0, rule) - l2) <= cns.EVEN_NORM_BUDGET * l2, (name, t)
                 assert abs(lp_norm(tf, 4.0, rule) - l4) <= cns.EVEN_NORM_BUDGET * l4, (name, t)
@@ -219,8 +219,8 @@ class TestIndicatorResponse:
         mu = cat["lebesgue"]
         t = 2.0 ** -10
         tf = indicator_response(mu, t)
-        base = _series_rule(t)
-        fine = DiskRule.make(30, 12, 2 * base.angular_count)
+        base = _series_rule(tf.degree, t)
+        fine = DiskRule.make(base.radial_depth, 12, 2 * base.angular_count)
         assert lp_norm(tf, 4.0, base) == pytest.approx(lp_norm(tf, 4.0, fine), rel=1e-9)
 
 
@@ -240,7 +240,7 @@ class TestRatioExperiments:
         t = 2.0 ** -6
         tf = aligned_response(cat["delta1"], t)
         exact = math.sqrt(_parseval_area(tf))
-        assert lp_norm(tf, 2.0, _series_rule(t)) == pytest.approx(exact, rel=1e-12)
+        assert lp_norm(tf, 2.0, _series_rule(tf.degree, t)) == pytest.approx(exact, rel=1e-12)
         res = ratio_experiment(cat["delta1"], 2.0, 2.0, "aligned", t)
         assert res.tf_value == pytest.approx(exact, rel=cns.EVEN_NORM_BUDGET)
 
@@ -257,7 +257,7 @@ class TestRatioExperiments:
         # the q = 2 side of the transfer report is Parseval's sum, not quadrature
         for t in (0.25, 0.125):
             tf = indicator_response(cat[name], t)
-            quad = lp_norm(tf, 2.0, _series_rule(t)) ** 2
+            quad = lp_norm(tf, 2.0, _series_rule(tf.degree, t)) ** 2
             assert abs(_parseval_area(tf) - quad) <= 1e-13 * quad
             assert subharmonic_transfer_report(cat[name], t, 2.0).passed
 
@@ -324,14 +324,14 @@ class TestEvenNorms:
     def test_routes_by_exponent(self, cat):
         # even integers take Parseval; odd and fractional q the sampler
         tf = indicator_response(cat["lebesgue"], 0.25)
-        rule = _series_rule(0.25)
+        rule = _series_rule(tf.degree, 0.25)
         assert _strong_norm(tf, 6.0, rule) == _parseval_area(tf, 3) ** (1.0 / 6.0)
         for q in (1.0, 3.0, 4.0 / 3.0, 2.5):
             assert _strong_norm(tf, q, rule) == lp_norm(tf, q, rule)
 
     def test_overflow_raises_like_the_sampler(self):
         f = TaylorFunction.from_array([1e200, 1e200])
-        rule = _series_rule()
+        rule = _series_rule(f.degree)
         for route in (_strong_norm, lp_norm):
             with pytest.raises(OverflowError):
                 route(f, 4.0, rule)
@@ -339,7 +339,7 @@ class TestEvenNorms:
     @pytest.mark.parametrize("family", ["power", "block"])
     def test_family_rule_resolves_the_degree(self, cat, family):
         # more angles than the degree: the sampler's L2 is Parseval's sum
-        rule = _series_rule()
+        rule = _series_rule(_N_TERMS)
         assert rule.angular_count > _N_TERMS
         for s in (2.0 ** -3, 2.0 ** -4, 2.0 ** -8, -0.5):
             f = power_testfn(s, _N_TERMS) if family == "power" else \
@@ -363,6 +363,53 @@ class TestEvenNorms:
         # the wrapper sees the sampler where it still runs
         ratio_experiment(cat["lebesgue"], 4.0 / 3.0, 3.0, "indicator", 0.25)
         assert calls
+
+
+class TestSeriesRule:
+    def test_depth_follows_the_degree(self):
+        # ceil(log2(N + 1)) + 2: 252 radii instead of 372 at t = 2^-10
+        assert _series_rule(143360, 2.0 ** -10).radial_depth == 20
+        assert _series_rule(143360, 2.0 ** -10).radial_nodes.size == 252
+        assert _series_rule(_N_TERMS).radial_depth == 15
+
+    def test_angles_follow_the_exponent(self):
+        # even q: M > qN/2, so |f^(q/2)|^2 does not alias; odd or fractional
+        # q: the margin; the Bloch target keeps M > N
+        assert _series_rule(_N_TERMS, q=2.0).angular_count == 8192
+        assert _series_rule(_N_TERMS, q=4.0).angular_count == 16384
+        assert _series_rule(_N_TERMS, q=math.inf).angular_count == 8192
+        assert _series_rule(_N_TERMS, q=4.0 / 3.0).angular_count == 32768
+        assert _series_rule(_N_TERMS, q=3.0).angular_count == 65536
+
+    @pytest.mark.parametrize("family, s, q", [("power", 0.125, 3.0), ("block", 0.5, 4.0 / 3.0)])
+    def test_odd_exponent_margin_against_twice_the_angles(self, cat, family, s, q):
+        # |f|^q of a family polynomial at an odd or fractional q is no
+        # trigonometric polynomial; doubling the angles moves its norms by
+        # less than 2e-5 (at most 1.2e-5 over both families, s in
+        # {1/8, 1/2, -1/2} and q in {1, 4/3, 5/2, 3})
+        mu = cat["power_-0.5"]
+        f = power_testfn(s, _N_TERMS) if family == "power" else block_testfn(mu, s, _N_TERMS)
+        tf = TaylorFunction.from_array(moment_prefix(mu, _N_TERMS).values * f.coefficients)
+        rule = _series_rule(_N_TERMS, q=q)
+        twice = DiskRule.make(rule.radial_depth, rule.order, 2 * rule.angular_count)
+        for g in (f, tf):
+            a, b = lp_norm(g, q, rule), lp_norm(g, q, twice)
+            assert abs(a - b) <= 2e-5 * b, (family, s, q)
+
+    def test_weak_norm_within_budget(self, cat):
+        # the rule's own error: the exact sup on the series rule against a
+        # refined rule, and against the depth-30 rule the degree-sized depth
+        # replaced
+        for name in ("lebesgue", "power_0.5", "power_-0.5", "nu_alpha_1.5"):
+            for j in range(4, 9):
+                t = 2.0 ** -j
+                tf = indicator_response(cat[name], t)
+                rule = _series_rule(tf.degree, t)
+                got = weak_norm(tf, 4.0 / 3.0, rule)
+                for other in (DiskRule.make(rule.radial_depth + 4, 16, rule.angular_count),
+                              DiskRule.make(30, 12, rule.angular_count)):
+                    ref = weak_norm(tf, 4.0 / 3.0, other)
+                    assert abs(got - ref) <= cns.WEAK_NORM_BUDGET * ref, (name, t, other.order)
 
 
 class TestSweepVerdict:
