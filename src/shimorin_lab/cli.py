@@ -345,7 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--family", choices=("indicator", "aligned", "power", "block"),
                    default="indicator")
     r.add_argument("--j-start", type=int, default=3)
-    r.add_argument("--j-stop", type=int, default=8)
+    r.add_argument("--j-stop", type=int, default=8,
+                   help="last j of the sweep t = 2^-j; the verdict reads only "
+                        "the last four t, so a short sweep can call a bounded "
+                        "target growing (the weak endpoint sweep on "
+                        "power:1,-0.5 at p = 1, q = 4/3 reads growing on "
+                        "j = 3..6 and plateaued on 3..8)")
     r.add_argument("--weak", action="store_true", help="weak-L^q target")
     r.set_defaults(func=cmd_ratio_scan)
 

@@ -6,8 +6,9 @@ the weights) with a uniform angular grid, normalized so that the constant 1
 integrates to 1. Besides plain integrals and L^p norms this module supplies
 the distribution function, the weak-L^q quasi-norm (the exact sup over the
 rule's samples, found from a histogram and a sort of the few samples that can
-attain it) and the Bloch seminorm |f(0)| + sup (1 - |z|^2) |f'(z)| on a
-boundary-refining grid.
+attain it; those come from the largest samples the histogram pass keeps
+where they are all among them, from a second pass elsewhere) and the Bloch
+seminorm |f(0)| + sup (1 - |z|^2) |f'(z)| on a boundary-refining grid.
 
 Every norm reads only |f|, through one polar-grid sampler, which yields
 blocks of radii with |f| on the M-point circle of each. A TaylorFunction is
@@ -47,8 +48,11 @@ __all__ = [
     "bloch_seminorm",
 ]
 
-# element cap on one block (and one callback invocation) of the polar sampler
+# element cap on one block of the polar sampler
 _CHUNK = 1 << 19
+# element cap on one callback invocation of the polar sampler: its complex
+# nodes and values, 4 MiB each, are alive together with the caller's block
+_CALL_CHUNK = 1 << 18
 # node cap on one block of DiskRule.iter_blocks: a complex temporary of the
 # caller's point loop (64 KiB) stays below glibc's 128 KiB mmap threshold, so
 # its cost does not depend on what the process freed before
@@ -63,6 +67,13 @@ _WEAK_SLACK = 1e-9
 # samples per histogram update of weak_norm: its int64 bins and their weights
 # stay at 512 KiB each, well below the sampler's block
 _WEAK_PIECE = 1 << 16
+# circles' worth of its largest samples that weak_norm's pass 1 keeps: enough
+# for every candidate sample of a field whose sup sits on a small set (the box
+# responses need 1.2 to 2.7 circles' worth at t <= 2^-8), while a flat field,
+# whose candidates are most of its samples, pays only for the buffer. The
+# buffer has room for half as much again, so that the threshold rises once per
+# two circles' worth of new samples above it, not on every piece
+_WEAK_KEEP_CIRCLES = 4
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -224,12 +235,13 @@ def _sample(f, nodes: np.ndarray) -> np.ndarray:
 def _circle_blocks(f, radii: np.ndarray, M: int):
     """Yield (lo, mods): mods[k] holds |f| on the M-point circle of radius radii[lo + k]."""
     phase = _circle(M)
-    rows = max(1, _CHUNK // M)
     if not isinstance(f, TaylorFunction):
+        rows = max(1, _CALL_CHUNK // M)
         for lo in range(0, radii.size, rows):
             nodes = radii[lo:lo + rows, None] * phase[None, :]
             yield lo, np.abs(_sample(f, nodes.ravel())).reshape(nodes.shape)
         return
+    rows = max(1, _CHUNK // M)
     c = f.coefficients
     real = not c.imag.any()
     # coefficient n = j M + k at C[j, k], zero-padded to whole turns of the circle
@@ -267,19 +279,15 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
             k, j = np.unravel_index(np.argmax(~np.isfinite(mods)), mods.shape)
             raise NonFiniteSampleError(complex(block[k] * phase[j]))
         yield lo, mods
-
-
-def _rule_blocks(f, rule: DiskRule):
-    """Yield (radial weights, |f| on their circles) blocks covering the rule."""
-    for lo, mods in _circle_blocks(f, rule.radial_nodes, rule.angular_count):
-        yield rule.radial_weights[lo:lo + len(mods)], mods
+        # a caller that dropped the block frees it before the next is built
+        del mods
 
 
 def _radial_sum(f, rule: DiskRule, circle_mean) -> float:
     """Sum over radii of weight x circle_mean(|f|), added radius by radius."""
     total = 0.0
-    for w, mods in _rule_blocks(f, rule):
-        for term in w * circle_mean(mods):
+    for lo, mods in _circle_blocks(f, rule.radial_nodes, rule.angular_count):
+        for term in rule.radial_weights[lo:lo + len(mods)] * circle_mean(mods):
             total += term
     return total
 
@@ -348,35 +356,56 @@ def _bin_edges(bins: np.ndarray) -> np.ndarray:
 
 
 def _weak_candidates(f, inv_q: float, rule: DiskRule):
-    """Pass 1 of ``weak_norm``: the float-bit bins that can hold the sup.
+    """Pass 1 of ``weak_norm``: the float-bit bins that can hold the sup, and
+    the largest samples read.
 
-    Returns (base, cand, above): bin base + i can hold the sup where cand[i],
-    and above[i] is the weight of the bins above it that cannot. None for a
-    field that is zero on every sample.
+    Returns (base, cand, above, top): bin base + i can hold the sup where
+    cand[i], and above[i] is the weight of the bins above it that cannot.
+    top = (theta, a, r) holds exactly the samples a >= theta, in rule order,
+    r their radius indices: every sample while they fit in the buffer, and
+    after it overflows, the ``_WEAK_KEEP_CIRCLES`` circles' worth of largest
+    ones and those read since. None for a field that is zero on every sample.
     """
     M = rule.angular_count
     rows = max(1, _WEAK_PIECE // M)
+    cap = _WEAK_KEEP_CIRCLES * M
     slack = 1.0 - _WEAK_SLACK
     total = rule.total_weight ** inv_q
     # hist[i] is the weight of bin base + i; the bins below base are dropped
     base, hist, best = 0, np.zeros(0), 0.0
-    for w, a in _rule_blocks(f, rule):
-        a = np.asarray(a, dtype=float)
-        w = w / M
+    # the kept samples, top[:count], are exactly those >= theta, in rule order
+    theta, count = 0.0, 0
+    top, top_r = np.empty(cap + cap // 2), np.empty(cap + cap // 2, dtype=np.int32)
+    for r0, a in _circle_blocks(f, rule.radial_nodes, M):
+        w = rule.radial_weights[r0:r0 + len(a)] / M
         # each circle's largest sample, alone, is a lower bound too
         best = max(best, float(np.max(a.max(axis=1) * w ** inv_q)))
         floor = max(base, _bin_of(best * slack / total))
-        top = max(base + hist.size, _bin_of(a.max()) + 1)
+        top_bin = max(base + hist.size, _bin_of(a.max()) + 1)
         # slot 0 collects the samples below the floor
-        grown = np.zeros(top - floor + 1)
+        grown = np.zeros(top_bin - floor + 1)
         kept = hist[floor - base:]
         grown[1:1 + kept.size] = kept
         for lo in range(0, len(a), rows):
-            bins = a[lo:lo + rows].view(np.int64) >> _BIN_SHIFT
+            piece = a[lo:lo + rows].ravel()
+            bins = piece.view(np.int64) >> _BIN_SHIFT
             bins -= floor - 1
             np.maximum(bins, 0, out=bins)
-            grown += np.bincount(bins.ravel(), np.repeat(w[lo:lo + rows], M),
+            grown += np.bincount(bins, np.repeat(w[lo:lo + rows], M),
                                  minlength=grown.size)
+            over = piece >= theta
+            n = np.count_nonzero(over)
+            if count + n > top.size:
+                theta, count = _trim(top, top_r, count, piece[over], cap)
+                over = piece >= theta
+                n = np.count_nonzero(over)
+            if n:
+                hit = np.flatnonzero(over)
+                top[count:count + n] = piece[hit]
+                top_r[count:count + n] = r0 + lo + hit // M
+                count += n
+        # the block goes before the sampler builds the next one
+        del a, piece
         base, hist = floor, grown[1:]
         S = np.cumsum(hist[::-1])[::-1]
         L = _bin_edges(base + np.arange(hist.size, dtype=np.int64))
@@ -386,51 +415,94 @@ def _weak_candidates(f, inv_q: float, rule: DiskRule):
     U = _bin_edges(base + 1 + np.arange(hist.size, dtype=np.int64))
     cand = U * S ** inv_q >= best * slack
     above = np.cumsum(np.where(cand, 0.0, hist)[::-1])[::-1]
-    return base, cand, np.append(above[1:], 0.0)
+    return base, cand, np.append(above[1:], 0.0), (theta, top[:count], top_r[:count])
+
+
+def _trim(top: np.ndarray, top_r: np.ndarray, count: int, new: np.ndarray,
+          cap: int) -> tuple[float, int]:
+    """Raise the threshold to the cap-th largest of top[:count] and new, or
+    to the next double where its ties would keep more than cap, and keep in
+    top, top_r only the samples at or above it. Returns (theta, count); new
+    is reordered."""
+    v = np.concatenate((top[:count], new)) if count else new
+    v.partition(v.size - cap)
+    theta = v[v.size - cap]
+    if np.count_nonzero(v >= theta) > cap:
+        theta = np.nextafter(theta, np.inf)
+    del v
+    keep = top[:count] >= theta
+    kept = np.count_nonzero(keep)
+    top[:kept], top_r[:kept] = top[:count][keep], top_r[:count][keep]
+    return theta, kept
+
+
+def _distinct(a: np.ndarray, w: np.ndarray, j: np.ndarray):
+    """Samples a with weights w and bin offsets j, one per distinct value in
+    decreasing order, the weights of equal values summed in extended precision
+    (where the platform has it)."""
+    order = np.argsort(-a, kind="stable")
+    a = a[order]
+    first = np.flatnonzero(np.append(True, a[1:] != a[:-1]))
+    return (a[first], np.add.reduceat(w[order].astype(np.longdouble), first),
+            j[order[first]])
 
 
 def weak_norm(f, q: float, rule: DiskRule) -> float:
     """Weak-L^q quasi-norm sup_tau tau * d_f(tau)^(1/q), exact on the rule's samples.
 
     With the samples a sorted in decreasing order and W_k the rule weight of
-    {a >= a_(k)}, the sup is max_k a_(k) W_k^(1/q). Two passes over the field
-    find it in bounded memory, without sorting the field. Pass 1 builds a
-    weighted histogram of |f| on float-bit bins (4096 per octave); S_j, the
-    weight at or above bin j's lower edge L_j, gives the lower bound
+    {a >= a_(k)}, the sup is max_k a_(k) W_k^(1/q). At most two passes over
+    the field find it in bounded memory, without sorting the field. Pass 1
+    builds a weighted histogram of |f| on float-bit bins (4096 per octave);
+    S_j, the weight at or above bin j's lower edge L_j, gives the lower bound
     best = max_j L_j S_j^(1/q). The sup is taken at a sample a with
     a W^(1/q) >= best and W <= the total weight, so the bins below
     best / total^(1/q) are dropped as the bound rises. A bin with upper edge
-    U_j can hold the sup only if U_j S_j^(1/q) >= best; pass 2 keeps the
-    samples of those candidate bins, sorts them, and adds to each the weight
-    of the other bins above it.
+    U_j can hold the sup only if U_j S_j^(1/q) >= best. The samples of those
+    candidate bins are sorted, one per distinct value, and each gets the
+    weight of the other bins above it. Pass 1 also keeps its largest samples,
+    every one >= theta, in a buffer of 1.5 x ``_WEAK_KEEP_CIRCLES`` circles'
+    worth. Where the lowest candidate bin starts at or above theta (a field
+    whose sup sits on a small set, such as most box responses at small t), the
+    candidates are taken from the buffer, in the order pass 2 would read them,
+    and the field is sampled once; otherwise pass 2 samples it again.
     """
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     found = _weak_candidates(f, 1.0 / q, rule)
     if found is None:
         return 0.0
-    base, cand, above = found
+    base, cand, above, (theta, top, top_r) = found
     M = rule.angular_count
     lowest = _bin_edges(np.int64(base + np.argmax(cand)))
-    vals, wts, where = [], [], []
-    for w, a in _rule_blocks(f, rule):
-        flat = np.asarray(a, dtype=float).ravel()
-        keep = np.flatnonzero(flat >= lowest)
-        j = np.minimum((flat[keep].view(np.int64) >> _BIN_SHIFT) - base, cand.size - 1)
-        keep, j = keep[cand[j]], j[cand[j]]
-        vals.append(flat[keep])
-        wts.append(w[keep // M] / M)
-        where.append(j)
-    a = np.concatenate(vals)
+    # cand[j] for the bin offsets j clipped to [-1, cand.size): -1, the bins
+    # below base, reads the False appended at the end
+    in_cand = np.append(cand, False)
+    parts = []
+
+    def candidates(a: np.ndarray, radius: Callable[[np.ndarray], np.ndarray]):
+        j = a.view(np.int64) >> _BIN_SHIFT
+        j -= base
+        np.clip(j, -1, cand.size - 1, out=j)
+        keep = np.flatnonzero(in_cand[j])
+        if keep.size:
+            parts.append(_distinct(a[keep], rule.radial_weights[radius(keep)] / M, j[keep]))
+
+    if lowest >= theta:
+        # every sample pass 2 would keep is among the kept ones
+        candidates(top, lambda k: top_r[k])
+    else:
+        rows = max(1, _WEAK_PIECE // M)
+        for lo, mods in _circle_blocks(f, rule.radial_nodes, M):
+            for i in range(0, len(mods), rows):
+                candidates(mods[i:i + rows].ravel(), lambda k: lo + i + k // M)
+    a, W, j = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(-a, kind="stable")
-    a = a[order]
-    # a constant field puts every sample in one bin: sum its weights in
-    # extended precision, where the platform has it
-    W = np.cumsum(np.concatenate(wts)[order], dtype=np.longdouble)
-    W = (W + above[np.concatenate(where)[order]]).astype(float)
-    # along a run of tied samples W only grows, so the run's last sample,
-    # which carries the weight of all of them, gives its largest product
-    return float(np.max(a * W ** (1.0 / q)))
+    W = (np.cumsum(W[order]) + above[j[order]]).astype(float)
+    # one entry per distinct value in each part; where a value recurs across
+    # parts, W only grows along its run, so the run's last entry gives its
+    # largest product
+    return float(np.max(a[order] * W ** (1.0 / q)))
 
 
 def bloch_seminorm(f: SampledFunction, radial_depth: int = 30,

@@ -119,15 +119,27 @@ class TestEmitters:
         ratios = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
+    # the sweep of the test below, exact to the last byte: its weak norms at
+    # t = 2^-3 .. 2^-6 take two passes over the field and at 2^-7, 2^-8 one
+    WEAK_ENDPOINT_ROWS = (
+        't,f_norm,tf_value,ratio,verdict\n'
+        '0.125,0.00022536588621410961,0.00025504535294478507,1.1316945844344799,plateaued\n'
+        '0.0625,5.9255685599399512e-05,7.2534783580481812e-05,1.2240982927926307,plateaued\n'
+        '0.03125,1.517819815558389e-05,2.0049806702823557e-05,1.320960926804573,plateaued\n'
+        '0.015625,3.8400841333627247e-06,5.4162724644475351e-06,1.4104567182241805,plateaued\n'
+        '0.0078125,9.657128576490251e-07,1.440905170464841e-06,1.4920637734622748,plateaued\n'
+        '0.00390625,2.4213969245079926e-07,3.783743291508248e-07,1.5626282718092874,plateaued\n'
+    )
+
     def test_ratio_scan_weak_endpoint_plateaus(self, capsys):
         # the weak-type bound at the endpoint (1, c), c = 4/3 for power beta = -0.5,
         # on the default sweep t = 2^-3 .. 2^-8 (on 2^-3 .. 2^-6 alone the four
         # increments are still level, and the sweep reads growing)
         assert main(["ratio-scan", "--measure", "power:1,-0.5", "--p", "1", "--q", "4/3",
-                     "--weak"]) == EXIT_OK
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert len(rows) == 6
-        assert {r.split(",")[4] for r in rows} == {"plateaued"}
+                     "--weak", "--j-start", "3", "--j-stop", "8"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == "".join(self.WEAK_ENDPOINT_ROWS)
+        assert {r.split(",")[4] for r in out.splitlines()[1:]} == {"plateaued"}
 
     def test_ratio_scan_aligned_bloch(self, capsys):
         # the Bloch target runs on the aligned family's series like the others

@@ -177,16 +177,29 @@ def full_sort_weak_norm(f, q: float, rule: DiskRule) -> float:
     """max_k a_(k) W_k^(1/q) over every sample of the rule, by one full sort;
     the cumulative weights are summed in extended precision."""
     M = rule.angular_count
-    vals, wts = [], []
-    for lo, a in _circle_blocks(f, rule.radial_nodes, M):
-        vals.append(a.ravel())
-        wts.append(np.repeat(rule.radial_weights[lo:lo + len(a)] / M, M))
-    a = np.concatenate(vals)
+    a, w = np.empty(rule.node_count()), np.empty(rule.node_count())
+    for lo, mods in _circle_blocks(f, rule.radial_nodes, M):
+        rows = slice(lo * M, (lo + len(mods)) * M)
+        a[rows] = mods.ravel()
+        w[rows] = np.repeat(rule.radial_weights[lo:lo + len(mods)] / M, M)
     order = np.argsort(-a, kind="stable")
     a = a[order]
-    W = np.cumsum(np.concatenate(wts)[order], dtype=np.longdouble).astype(float)
+    W = np.cumsum(w[order], dtype=np.longdouble).astype(float)
     last = np.append(a[1:] != a[:-1], True)
     return float(np.max(a[last] * W[last] ** (1.0 / q)))
+
+
+def count_samplings(monkeypatch) -> list:
+    """Each call of the polar sampler appends its field to the returned list."""
+    calls = []
+    sampler = diskquad._circle_blocks
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(diskquad, "_circle_blocks", counting)
+    return calls
 
 
 def _poly(seed: int, real: bool) -> TaylorFunction:
@@ -205,6 +218,8 @@ class TestWeakNormExact:
         "constant": SampledFunction.constant(0.7),
         "constant polynomial": TaylorFunction.from_array([2.0 - 1.0j]),
         "zero on a half disk": SampledFunction(lambda z: np.maximum(z.real, 0.0)),
+        "two values on half disks": SampledFunction(
+            lambda z: np.where(z.real > 0.0, 1.0, 0.5).astype(complex)),
         "monomial": TaylorFunction.from_array([0.0, 0.0, 0.0, 1.0]),
         "zero": SampledFunction.constant(0.0),
     }
@@ -233,6 +248,70 @@ class TestWeakNormExact:
             calls.clear()
             weak_norm(f, 4.0 / 3.0, rule)
             assert len(calls) <= 2
+
+    @pytest.mark.parametrize("j", [8, 9])
+    def test_samples_a_peaked_field_once(self, monkeypatch, j):
+        # the box response's candidate samples (2.7 and 1.6 circles' worth)
+        # all sit among the largest ones pass 1 keeps
+        t = 2.0 ** -j
+        tf = indicator_response(RadialMeasure.power(1.0, -0.5), t)
+        rule = _series_rule(tf.degree, t)
+        calls = count_samplings(monkeypatch)
+        one_pass = weak_norm(tf, 4.0 / 3.0, rule)
+        assert len(calls) == 1
+        # a buffer of one circle's worth cannot hold them: pass 2 runs, on
+        # the same candidates in the same order
+        monkeypatch.setattr(diskquad, "_WEAK_KEEP_CIRCLES", 1)
+        calls.clear()
+        assert weak_norm(tf, 4.0 / 3.0, rule) == one_pass
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("measure, j, passes", [
+        (RadialMeasure.power(1.0, -0.5), 7, 1),
+        (RadialMeasure.lebesgue(), 5, 2),
+    ])
+    def test_box_response_equals_the_full_sort(self, monkeypatch, measure, j, passes):
+        # Lebesgue at t = 2^-5 has 33 circles' worth of candidate samples and
+        # falls back to pass 2
+        t = 2.0 ** -j
+        tf = indicator_response(measure, t)
+        rule = _series_rule(tf.degree, t)
+        ref = full_sort_weak_norm(tf, 4.0 / 3.0, rule)
+        calls = count_samplings(monkeypatch)
+        assert abs(weak_norm(tf, 4.0 / 3.0, rule) - ref) <= 1e-13 * ref
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize("name, passes", [
+        ("two-valued indicator", 1), ("two values on half disks", 2), ("constant", 2),
+    ])
+    def test_ties_at_the_threshold(self, monkeypatch, name, passes):
+        # 106496 samples against 4096 kept: the tied zeros of the indicator,
+        # and the tied top values of the others, sit at the threshold, which
+        # steps past them; the indicator's 40 ones remain and are its candidates
+        f, rule = self.FIELDS[name], DiskRule.make(12, 8, 1024)
+        calls = count_samplings(monkeypatch)
+        for q in (1.0, 4.0 / 3.0, 2.0, 3.0):
+            calls.clear()
+            got = weak_norm(f, q, rule)
+            assert len(calls) == passes
+            ref = full_sort_weak_norm(f, q, rule)
+            assert abs(got - ref) <= 1e-13 * ref, q
+
+    def test_tied_field_memory(self):
+        # every sample of a constant is a candidate: one entry per distinct
+        # value in each piece keeps pass 2 within the box responses' bound
+        # below, where all 2539520 samples would take 210 MB
+        rule = DiskRule.make(30, 10, 8192)
+        ref = full_sort_weak_norm(SampledFunction.constant(0.7), 2.0, rule)
+        for f in (SampledFunction.constant(0.7), TaylorFunction.from_array([0.7])):
+            tracemalloc.start()
+            try:
+                got = weak_norm(f, 2.0, rule)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 18.05e6
+            assert abs(got - ref) <= 1e-13 * ref
 
     def test_memory_stays_below_the_grid_estimator(self):
         # the 200-point tau grid that weak_norm replaced peaked at 18.05 MB on
