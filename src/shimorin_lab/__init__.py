@@ -13,7 +13,6 @@ from .diskquad import (
     SampledFunction,
     TaylorFunction,
     bloch_seminorm,
-    distribution_function,
     integrate,
     lp_norm,
     weak_norm,
@@ -52,7 +51,6 @@ from .multiplier import (
     MultiplierSequence,
     claim1_envelope,
     decay_exponent_estimate,
-    moment,
     moment_prefix,
     moments_at,
     series_partial,
@@ -61,7 +59,6 @@ from .operator import (
     apply_multiplier,
     apply_quadrature,
     apply_radial,
-    bergman_membership,
 )
 from .testfns import (
     BoundaryBox,

@@ -161,6 +161,8 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
             yield "pnorm-envelope", lambda: kr.envelope_reports(mu, seed, n=20)
         if not isinstance(kr.cz_constants(mu), kr.CzNotApplicable):
             yield "cz-pointwise", lambda: kr.cz_pointwise_reports(mu, seed)
+        # the measure enters neither this check nor gap-ratio
+        yield "forelli-rudin", lambda: kr.forelli_rudin_reports(seed)
 
     def multiplier_checks():
         def monotone():

@@ -60,6 +60,13 @@ MOMENT_BUDGET = 1e-10
 # alpha in {1.1, 1.5, 1.9, 1.99}, |z| from 0.05 to 0.9999 and p from 1.05 to 8.
 KERNEL_NORM_BUDGET = 1e-11
 
+# Error budget of kernel.double_integral_eval, relative to |K| + nu([0,1]), on
+# its outer rule of Gauss order 10 (kernel._rule_for_gap). The error actually
+# reached is at most 1.5e-15 against the mpmath 2F1 closed form on power
+# densities with beta in {-0.5, 0.202, 1.2} at |1 - w| from 1e-1 to 1e-4;
+# eval_kernel reaches 9.3e-16 there. At Gauss order 8 it was 8.3e-13.
+DOUBLE_INTEGRAL_BUDGET = 1e-14
+
 # Relative error budget of the even-q disk norms of a polynomial
 # (testfns._parseval_area: Parseval's identity on f^k, f^k by FFT
 # convolution). The error actually reached is at most 5.1e-16 against a

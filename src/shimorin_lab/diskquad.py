@@ -4,11 +4,11 @@ Rules are tensor products of a radial mesh on [0, 1) (geometric panels graded
 toward the boundary, Gauss-Legendre on each, the 2*rho area factor folded into
 the weights) with a uniform angular grid, normalized so that the constant 1
 integrates to 1. Besides plain integrals and L^p norms this module supplies
-the distribution function, the weak-L^q quasi-norm (the exact sup over the
-rule's samples, found from a histogram and a sort of the few samples that can
-attain it; those come from the largest samples the histogram pass keeps
-where they are all among them, from a second pass elsewhere) and the Bloch
-seminorm |f(0)| + sup (1 - |z|^2) |f'(z)| on a boundary-refining grid.
+the weak-L^q quasi-norm (the exact sup over the rule's samples, found from a
+histogram and a sort of the few samples that can attain it; those come from
+the largest samples the histogram pass keeps where they are all among them,
+from a second pass elsewhere) and the Bloch seminorm
+|f(0)| + sup (1 - |z|^2) |f'(z)| on a boundary-refining grid.
 
 Every norm reads only |f|, through one polar-grid sampler, which yields
 blocks of radii with |f| on the M-point circle of each. A TaylorFunction is
@@ -20,8 +20,9 @@ costs M exponentials, a length-J product and one FFT, whatever the degree N.
 Real coefficients take a real FFT of the upper half circle, and conjugate
 symmetry, f(rho e^(-i theta)) = conj f(rho e^(i theta)), fills the lower half;
 complex ones take an inverse FFT. Any other callable is evaluated at the
-nodes rho e^(2 pi i k / M). The reducers accumulate radius by radius: the
-radial weight times the mean over the circle.
+nodes rho e^(2 pi i k / M). ``lp_norm`` accumulates radius by radius: the
+radial weight times the mean of |f|^p over the circle. Every consumer drops a
+block before the sampler builds the next, so one block is alive at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "QuadratureNonconvergence",
     "integrate",
     "lp_norm",
-    "distribution_function",
     "weak_norm",
     "bloch_seminorm",
 ]
@@ -283,15 +283,6 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
         del mods
 
 
-def _radial_sum(f, rule: DiskRule, circle_mean) -> float:
-    """Sum over radii of weight x circle_mean(|f|), added radius by radius."""
-    total = 0.0
-    for lo, mods in _circle_blocks(f, rule.radial_nodes, rule.angular_count):
-        for term in rule.radial_weights[lo:lo + len(mods)] * circle_mean(mods):
-            total += term
-    return total
-
-
 class QuadratureNonconvergence(RuntimeError):
     """Cauchy difference between a rule and its refinement missed the tolerance."""
 
@@ -330,19 +321,21 @@ def _finite(value: float, what: str) -> float:
 
 
 def lp_norm(f, p: float, rule: DiskRule) -> float:
-    """(integral |f|^p dA)^(1/p) for p >= 1; OverflowError when |f|^p overflows."""
+    """(integral |f|^p dA)^(1/p) for p >= 1; OverflowError when |f|^p overflows.
+
+    Radius by radius, the weight times the mean of |f|^p over the circle."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
+    total = 0.0
     with np.errstate(over="ignore"):
-        total = _radial_sum(f, rule, lambda a: np.mean(a ** p, axis=1))
+        for lo, mods in _circle_blocks(f, rule.radial_nodes, rule.angular_count):
+            # |f|^p in place: once yielded, the block is this loop's alone
+            mods **= p
+            for term in rule.radial_weights[lo:lo + len(mods)] * np.mean(mods, axis=1):
+                total += term
+            # the block goes before the sampler builds the next one
+            del mods
         return _finite(float(total ** (1.0 / p)), f"L^{p} norm")
-
-
-def distribution_function(f, tau: float, rule: DiskRule) -> float:
-    """Normalized area of the superlevel set {|f| > tau}."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    return float(_radial_sum(f, rule, lambda a: np.mean(a > tau, axis=1)))
 
 
 def _bin_of(x: float) -> int:
@@ -496,6 +489,7 @@ def weak_norm(f, q: float, rule: DiskRule) -> float:
         for lo, mods in _circle_blocks(f, rule.radial_nodes, M):
             for i in range(0, len(mods), rows):
                 candidates(mods[i:i + rows].ravel(), lambda k: lo + i + k // M)
+            del mods
     a, W, j = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(-a, kind="stable")
     W = (np.cumsum(W[order]) + above[j[order]]).astype(float)
@@ -515,5 +509,6 @@ def bloch_seminorm(f: SampledFunction, radial_depth: int = 30,
     for lo, mods in _circle_blocks(f.derivative, radii, angular_count):
         rho = radii[lo:lo + len(mods)]
         best = max(best, float(np.max((1.0 - rho * rho) * mods.max(axis=1))))
+        del mods
     _, center = next(_circle_blocks(f.evaluate, np.zeros(1), 1))
     return float(center[0, 0]) + best

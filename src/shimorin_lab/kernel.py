@@ -16,7 +16,8 @@ of |1 - w| for power densities with beta != 0, and the grid of a tabulated
 density. The nested double-integral route (whose inner integral runs on
 ``_nested_radial``, the engine of operator.apply_radial too) and the upper
 side of the norm envelope stay on the graded u-rule for every density, so on
-a catalog measure they cross-check both.
+a catalog measure they cross-check both; the nested route is within
+``constants.DOUBLE_INTEGRAL_BUDGET`` of the closed forms.
 
 L^p norms of K(z, .) and the Forelli-Rudin integral run on one polar rule,
 ``_graded_polar(s, t)``, sized to the gap 1 - |z| (a uniform angular grid
@@ -33,6 +34,8 @@ not cancel for any |z| or node.
 The module also predicts the Calderon-Zygmund size and
 smoothness constants from the measure's critical index and verifies every
 pointwise/norm bound on seeded point clouds, reporting margins and witnesses.
+The Forelli-Rudin integral is held to its two closed sides
+(``forelli_rudin_reports``), so ``verify`` runs it on the same polar rule.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from ._gridquad import (
     geometric_breaks,
     jacobi_rule,
     panel_rule,
-    resolvent_sum,
 )
 from .measure import (
     RadialMeasure,
@@ -73,6 +75,7 @@ __all__ = [
     "CzConstants",
     "CzNotApplicable",
     "forelli_rudin_check",
+    "forelli_rudin_reports",
     "KernelBoundReport",
     "bound_report",
     "sample_boundary_pairs",
@@ -95,8 +98,10 @@ def _cached_rule(mu: RadialMeasure, depth_zero: int = cns.MEASURE_DEPTH_ZERO,
     return mu.pushforward_rule(depth_zero=depth_zero, order=order)
 
 
-# Gauss order per panel of the rule graded below a gap
-_GAP_RULE_ORDER = 8
+# Gauss order per panel of the rule graded below a gap: at 10 the nested
+# double-integral route reaches the resolvent's level on power densities
+# (``constants.DOUBLE_INTEGRAL_BUDGET``)
+_GAP_RULE_ORDER = 10
 
 
 def _rule_for_gap(mu: RadialMeasure, min_gap: float):
@@ -108,15 +113,6 @@ def _rule_for_gap(mu: RadialMeasure, min_gap: float):
 _INNER_ORDER = 12
 # supnorm_sandwich sweeps |z| through 1 - 2^-j, j <= _SWEEP_DEPTH
 _SWEEP_DEPTH = 14
-
-
-def _quadrature_resolvent(mu: RadialMeasure, w: np.ndarray, derivative: bool) -> np.ndarray:
-    """Density part of integral (1 - r w)^-1 d nu (or of integral r (1 - r w)^-2 d nu
-    with ``derivative``) on mu's pushforward rule at the default depths, for a
-    flat complex array w. The tests hold the components' resolvents to this
-    independent route; ``_resolvent`` does not call it.
-    """
-    return resolvent_sum(*_cached_rule(mu), w, derivative)
 
 
 def _resolvent(mu: RadialMeasure, w, derivative: bool = False) -> np.ndarray:
@@ -178,7 +174,10 @@ def _nested_radial(mu: RadialMeasure, rule, g, gap: float, n: int) -> np.ndarray
     half = 0.5 * (u - breaks[k])
     frac = np.divide(half, u, out=np.full_like(u, 0.5), where=u > 0.0)
     v = np.concatenate((v, (breaks[k][:, None] + half[:, None] * (x + 1.0)).ravel()))
-    c = np.concatenate((c, ((wt * frac)[:, None] * gw).ravel()))
+    # complex weights, the same values: above 10^4 nodes numpy's complex-by-real
+    # matmul stalls while another process holds a core (0.8 ms per row at
+    # 14448 nodes on a 2-core box, against 4 us complex-by-complex)
+    c = np.concatenate((c, ((wt * frac)[:, None] * gw).ravel())).astype(complex)
     out = np.empty(n, dtype=complex)
     rows = max(1, BLOCK // v.size)
     for lo in range(0, n, rows):
@@ -381,15 +380,18 @@ def cz_constants(mu: RadialMeasure) -> Union[CzConstants, CzNotApplicable]:
 
 def forelli_rudin_check(t_exp: float, c_exp: float, z) -> tuple[float, float]:
     """Quadrature of integral (1-|lam|^2)^t |1-z conj(lam)|^-(2+c+t) dA and the
-    target shape (1-|z|^2)^-c; their ratio must stay bounded over a |z|-sweep.
+    target shape (1-|z|^2)^-c; their ratio stays between the closed sides of
+    ``forelli_rudin_reports``.
     """
     if t_exp <= -1.0 or c_exp <= 0.0:
         raise ValueError("need t > -1 and c > 0")
     s = float(np.abs(z))
     rho, w_rho, theta, w_theta = _graded_polar(s, t_exp)
-    w = s * rho[:, None] * np.exp(-1j * theta)[None, :]
-    vals = np.abs(1.0 - w) ** -(2.0 + c_exp + t_exp)
-    integral = float(w_rho @ vals @ w_theta)
+    sr = s * rho
+    # |1 - s rho e^(i theta)|^2 = (1 - s rho)^2 + 4 s rho sin^2(theta/2), which
+    # does not cancel near theta = 0
+    gap2 = (1.0 - sr)[:, None] ** 2 + (4.0 * sr)[:, None] * np.sin(0.5 * theta)[None, :] ** 2
+    integral = float(w_rho @ gap2 ** (-0.5 * (2.0 + c_exp + t_exp)) @ w_theta)
     return integral, (1.0 - s * s) ** (-c_exp)
 
 
@@ -509,4 +511,32 @@ def envelope_reports(mu: RadialMeasure, seed: int = 0, n: int = 50) -> list[Kern
     los, ups = np.transpose([pnorm_envelope(mu, z, p) for z, p in zip(zs, ps)])
     lo_rep = bound_report("pnorm-envelope-lower", los * (1.0 - 1e-4), norms, (zs, ps))
     up_rep = bound_report("pnorm-envelope-upper", norms, ups * (1.0 + 1e-4), (zs, ps))
+    return [lo_rep, up_rep]
+
+
+def forelli_rudin_reports(seed: int = 0, n: int = 8) -> list[KernelBoundReport]:
+    """The Forelli-Rudin integral I between its closed sides, to
+    ``KERNEL_NORM_BUDGET`` relative, at seeded (t, c, |z|):
+
+        1/(t+1) <= (1 - |z|^2)^c I <= Gamma(t+1) Gamma(c) / Gamma(a)^2.
+
+    With x = |z|^2, a = (2+t+c)/2 and b = (2+t-c)/2, I = 2F1(a, a; t+2; x)/(t+1),
+    which Euler's transformation writes as (1 - x)^-c 2F1(b, b; t+2; x)/(t+1).
+    That 2F1 has coefficients (b)_n^2 / ((t+2)_n n!) >= 0, so on [0, 1] it rises
+    from 1 to Gauss's value Gamma(t+2) Gamma(c) / Gamma(a)^2 (c > 0). Both sides
+    are equal at c = t+2. t is uniform on [-0.9, 3], c on [0.05, 3], and
+    |z| = 1 - 10^-U(0.3, 4).
+    """
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(-0.9, 3.0, n)
+    cs = rng.uniform(0.05, 3.0, n)
+    zs = 1.0 - 10.0 ** (-rng.uniform(0.3, 4.0, n))
+    scaled = np.array([np.divide(*forelli_rudin_check(t, c, z)) for t, c, z in zip(ts, cs, zs)])
+    lower = 1.0 / (ts + 1.0)
+    upper = np.array([math.exp(math.lgamma(t + 1.0) + math.lgamma(c)
+                               - 2.0 * math.lgamma(0.5 * (2.0 + t + c)))
+                      for t, c in zip(ts, cs)])
+    slack = cns.KERNEL_NORM_BUDGET
+    lo_rep = bound_report("forelli-rudin-lower", lower * (1.0 - slack), scaled, (ts, cs, zs))
+    up_rep = bound_report("forelli-rudin-upper", scaled, upper * (1.0 + slack), (ts, cs, zs))
     return [lo_rep, up_rep]

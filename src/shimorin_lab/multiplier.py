@@ -18,7 +18,9 @@ checked against. The envelope
 every component's own ``envelope``: closed forms (atoms, power densities) or
 a sorted-rule prefix/suffix sum (the other densities). The decay exponent
 limsup log m_n / log(n+1) = -s0 is estimated by an upper-envelope fit on a
-geometric index grid.
+geometric index grid, and the series sum m_n (n+1)^(s-1), which converges iff
+integral (1-r)^-s d nu does, gets a dyadic-block growth verdict
+(``series_partial``). ``moments_at`` gives m_n on any index set.
 """
 
 from __future__ import annotations
@@ -31,19 +33,17 @@ import numpy as np
 
 from . import constants as cns
 from ._gridquad import moment_sum
-from .measure import RadialMeasure, critical_index, total_mass
+from .measure import RadialMeasure, total_mass
 
 __all__ = [
     "MultiplierSequence",
     "QuadratureError",
-    "moment",
     "moment_prefix",
     "moments_at",
     "claim1_envelope",
     "decay_exponent_estimate",
     "DecayEstimate",
     "series_partial",
-    "attaining_subsequence",
     "dyadic_block_verdict",
 ]
 
@@ -132,13 +132,6 @@ def _moments(mu: RadialMeasure, n: np.ndarray) -> np.ndarray:
     return vals
 
 
-def moment(mu: RadialMeasure, n: int) -> float:
-    """m_n for a single index."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return float(_moments(mu, np.array([n]))[0])
-
-
 @lru_cache(maxsize=64)
 def _cached_prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:
     return MultiplierSequence(mu, _moments(mu, np.arange(N + 1)))
@@ -217,22 +210,6 @@ def decay_exponent_estimate(mu: RadialMeasure, N: int) -> DecayEstimate:
     half = x >= 0.5 * (x[0] + x[-1])
     slope_half = _envelope_slope(x[half], y[half]) if half.sum() >= 4 else slope
     return DecayEstimate(slope, abs(slope - slope_half) > 0.1, grid, y)
-
-
-def attaining_subsequence(mu: RadialMeasure, N: int, eps: float = 0.05) -> np.ndarray:
-    """Empirical index set {n <= N : m_n >= (n+1)^(-s0-eps)} attaining the limsup.
-
-    Along this set the decay rate -s0 is achieved up to the slack eps, and the
-    series sum over it of m_n (n+1)^(s-1) diverges for every s > s0. No
-    constructive description of the set exists, so this detection is
-    best-effort with eps as the declared tolerance flag.
-    """
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    s0 = critical_index(mu).s0
-    grid = np.arange(N + 1)
-    m = moment_prefix(mu, N).values
-    return grid[m >= (grid + 1.0) ** (-s0 - eps)]
 
 
 def dyadic_block_verdict(block_sums: np.ndarray) -> str:

@@ -17,8 +17,8 @@ For both box families f_t, T f_t has the explicit expansion
 (term-by-term integration of the kernel's uniformly convergent conj(lam)
 series over E_t). The box moments are closed-form for the indicator and a
 tensor Gauss sum on the box for the aligned function. Box quadrature of the
-kernel itself (``_direct_response``) is the independent route the tests hold
-both expansions to.
+kernel itself, on the same ``_BOX_RULE`` (``direct_response`` in the tests'
+route_oracles), is the independent route the tests hold both expansions to.
 
 Strong norms at an even integer exponent q = 2k of a polynomial (T f_t, and
 f and T f of the power and block families) are exact coefficient sums:
@@ -269,7 +269,8 @@ def realpart_bound_reports(seed: int = 0, n_per_t: int = 2000) -> list[KernelBou
 # below this; it bounds |c_N| / (m_N area), as |f_t| <= 1, |lam| <= 1 - t/2.
 _SERIES_TOL = 1e-14
 # (radial, angular) Gauss orders of the box rule of the aligned moments and of
-# _direct_response, so that the series and its cross-check share one integral
+# the tests' box quadrature of the kernel, so that the series and its
+# cross-check share one integral
 _BOX_RULE = (32, 12)
 # indices per block of the aligned moments (a 3 MB power table on 384 nodes)
 _MOMENT_ROWS = 1 << 9
@@ -451,26 +452,6 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     else:
         val = weak_norm(tf, q, rule) if weak else _strong_norm(tf, q, rule)
     return RatioResult(param, f_norm, val)
-
-
-def _direct_response(mu: RadialMeasure, family: str, t: float):
-    """T f on the disk by box quadrature of the kernel, for evaluation at points:
-    the independent route the box response series are held to."""
-    f = indicator_testfn(t) if family == "indicator" else aligned_testfn(mu, t)
-    nodes, weights = box(t).gauss_nodes(*_BOX_RULE)
-    fvals = f(nodes)
-
-    def tf(z):
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for lo in range(0, flat.size, 512):
-            sl = slice(lo, lo + 512)
-            k = eval_kernel(mu, flat[sl][:, None], nodes[None, :])
-            out[sl] = k @ (weights * fvals)
-        return out.reshape(z.shape)
-
-    return tf
 
 
 def ratio_sweep(mu: RadialMeasure, p: float, q: float, family: str,

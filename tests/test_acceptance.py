@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import random_catalog_measure
+from route_oracles import quadrature_resolvent
 from shimorin_lab.kernel import (
-    _quadrature_resolvent,
     cz_pointwise_reports,
     envelope_reports,
     eval_kernel,
@@ -61,7 +61,7 @@ def test_criterion_01_nu_alpha_kernel_identity():
         rel = np.max(np.abs(got - exact) / np.abs(exact))
         assert rel <= 1e-6, f"alpha={alpha}: worst relative error {rel:.3e}"
         # eval_kernel uses the closed form; the quadrature engine must match it too
-        quad = _quadrature_resolvent(mu, w, derivative=False) / (1.0 - w)
+        quad = quadrature_resolvent(mu, w, derivative=False) / (1.0 - w)
         rel = np.max(np.abs(quad - exact) / np.abs(exact))
         assert rel <= 1e-6, f"alpha={alpha}: quadrature worst relative error {rel:.3e}"
     elapsed = time.perf_counter() - start

@@ -181,6 +181,15 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("measure", ["delta1", "nu_alpha:1.5"])
+    def test_kernel_suite_runs_forelli_rudin(self, measure, capsys):
+        assert main(["verify", "--measure", measure, "--suite", "kernel"]) == EXIT_OK
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[-1]["check"] == "forelli-rudin" and checks[-1]["passed"] is True
+        bounds = checks[-1]["bounds"]
+        assert [b["name"] for b in bounds] == ["forelli-rudin-lower", "forelli-rudin-upper"]
+        assert all(b["passed"] and b["worst_margin"] >= 0.0 for b in bounds)
+
     def test_lebesgue_multiplier_suite(self, capsys):
         assert main(["verify", "--measure", "lebesgue", "--suite", "multiplier"]) == EXIT_OK
 

@@ -24,6 +24,7 @@ from shimorin_lab.kernel import (
     eval_dz,
     eval_kernel,
     forelli_rudin_check,
+    forelli_rudin_reports,
     hermitian_report,
     kernel_lp_norm,
     pnorm_envelope,
@@ -283,6 +284,26 @@ class TestDoubleIntegral:
         got = double_integral_eval(mu, z, lam)
         assert np.max(np.abs(got - ref) / (np.abs(ref) + total_mass(mu))) <= 1e-13
 
+    @pytest.mark.parametrize("kappa,beta", [(1.0, -0.5), (0.968, 0.202), (2.0, 1.2)])
+    def test_power_within_budget(self, kappa, beta):
+        # kappa ((1-w)^2 (beta+1))^-1 2F1(1, beta+1; beta+2; -w/(1-w)); z is real,
+        # so w = z conj(lam) rounds the same way here and in the route
+        mpmath = pytest.importorskip("mpmath")
+        gaps = np.geomspace(1e-1, 1e-4, 7)
+        target = (1.0 - gaps[:, None] * np.exp(1j * np.array([0.0, 0.5, 1.0, -1.2]))).ravel()
+        z = np.sqrt(np.abs(target)) + 0j
+        lam = np.sqrt(np.abs(target)) * np.exp(-1j * np.angle(target))
+        w = z * np.conj(lam)
+        mu = RadialMeasure.power(kappa, beta)
+        got = double_integral_eval(mu, z, lam)
+        for g, x in zip(got, w):
+            with mpmath.workdps(30):
+                x = mpmath.mpc(x.real, x.imag)
+                ref = complex(kappa / ((1 - x) ** 2 * (beta + 1))
+                              * mpmath.hyp2f1(1, beta + 1, beta + 2, -x / (1 - x)))
+            err = abs(g - ref) / (abs(ref) + total_mass(mu))
+            assert err <= cns.DOUBLE_INTEGRAL_BUDGET, (abs(1 - complex(x)), err)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tabulated_grid_holding_r1(self, rng):
         # the node r = 1 (u = 0) enters through its limit weight * (1 - w)^-2
@@ -520,18 +541,46 @@ class TestForelliRudin:
         i2, s2 = forelli_rudin_check(0.0, 2.0, 0.99)
         assert (i2 / s2) == pytest.approx(i1 / s1, rel=3.0)  # within a factor 4
 
-    @pytest.mark.parametrize("t", [-0.9, -0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("t", [-0.9, -0.5, 0.0, 1.0, 3.0])
     def test_against_mpmath(self, t):
         # integral (1-|lam|^2)^t |1 - z conj(lam)|^-(2+c+t) dA = 2F1(a, a; t+2; |z|^2)/(t+1)
-        # with a = (2+c+t)/2, the factor (1 - rho^2)^t singular at rho = 1 for t < 0
+        # with a = (2+c+t)/2, the factor (1 - rho^2)^t singular at rho = 1 for t < 0;
+        # t, c and |z| span the ranges of forelli_rudin_reports
         mpmath = pytest.importorskip("mpmath")
-        for c in (0.5, 1.0, 2.0):
-            for z in (0.0, 0.5, 0.9, 0.99, 0.999):
+        for c in (0.05, 0.5, 1.0, 2.0, 3.0):
+            for z in (0.0, 0.5, 0.9, 0.99, 0.999, 0.9999):
                 with mpmath.workdps(30):
                     a = (2 + c + mpmath.mpf(t)) / 2
                     ref = float(mpmath.hyp2f1(a, a, t + 2, mpmath.mpf(z) ** 2) / (t + 1))
                 integral, _ = forelli_rudin_check(t, c, z)
-                assert abs(integral - ref) <= 1e-10 * ref, (c, z)
+                assert abs(integral - ref) <= cns.KERNEL_NORM_BUDGET * ref, (c, z)
+
+    def test_equality_case(self):
+        # at c = t + 2, b = 0 and the integral is (1 - |z|^2)^-c / (t + 1) exactly
+        rng = np.random.default_rng(29)
+        ts = rng.uniform(-0.9, 3.0, 40)
+        zs = 1.0 - 10.0 ** (-rng.uniform(0.3, 4.0, 40))
+        for t, z in zip(ts, zs):
+            integral, shape = forelli_rudin_check(t, t + 2.0, z)
+            exact = shape / (t + 1.0)
+            assert abs(integral - exact) <= cns.KERNEL_NORM_BUDGET * exact, (t, z)
+
+    def test_reports_hold_on_seeds(self):
+        for seed in range(100):
+            lower, upper = forelli_rudin_reports(seed)
+            assert (lower.bound_name, upper.bound_name) == ("forelli-rudin-lower",
+                                                            "forelli-rudin-upper")
+            assert lower.passed and upper.passed, seed
+            assert lower.n_samples == upper.n_samples == 8
+            assert len(lower.witness) == 3
+
+    def test_upper_side_is_the_boundary_limit(self):
+        # (1 - |z|^2)^c I tends to Gauss's value as |z| -> 1
+        t, c = 0.5, 1.3
+        integral, shape = forelli_rudin_check(t, c, 1.0 - 1e-8)
+        gauss = math.exp(math.lgamma(t + 1.0) + math.lgamma(c)
+                         - 2.0 * math.lgamma((2.0 + t + c) / 2.0))
+        assert integral / shape == pytest.approx(gauss, rel=1e-6)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

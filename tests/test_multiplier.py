@@ -39,7 +39,6 @@ from shimorin_lab.multiplier import (
     claim1_envelope,
     decay_exponent_estimate,
     dyadic_block_verdict,
-    moment,
     moment_prefix,
     moments_at,
     series_partial,
@@ -194,40 +193,39 @@ class TestQuadratureRoute:
 
 class TestMoment:
     def test_delta1_identity_multiplier(self, cat):
-        for n in (0, 1, 7, 1000, 12345):
-            assert moment(cat["delta1"], n) == 1.0
+        assert np.all(moments_at(cat["delta1"], [0, 1, 7, 1000, 12345]) == 1.0)
 
     def test_delta0_harmonic(self, cat):
-        for n in (0, 1, 2, 3, 999, 5000):
-            assert moment(cat["delta0"], n) == pytest.approx(1.0 / (n + 1), rel=1e-15)
+        n = np.array([0, 1, 2, 3, 999, 5000])
+        assert np.allclose(moments_at(cat["delta0"], n), 1.0 / (n + 1), rtol=1e-15, atol=0)
 
     def test_lebesgue_values(self, cat):
-        assert moment(cat["lebesgue"], 1) == pytest.approx(0.75, rel=1e-12)
-        assert moment(cat["lebesgue"], 2) == pytest.approx(11.0 / 18.0, rel=1e-12)
+        m1, m2 = moments_at(cat["lebesgue"], [1, 2])
+        assert m1 == pytest.approx(0.75, rel=1e-12)
+        assert m2 == pytest.approx(11.0 / 18.0, rel=1e-12)
 
     def test_interior_atom_geometric_sum(self):
         mu = RadialMeasure.dirac(0.5, 2.0)
-        for n in (0, 3, 9, 2000):
-            expect = 2.0 * sum(0.5 ** k for k in range(n + 1)) / (n + 1)
-            assert moment(mu, n) == pytest.approx(expect, rel=1e-13)
+        n = [0, 3, 9, 2000]
+        expect = [2.0 * sum(0.5 ** k for k in range(j + 1)) / (j + 1) for j in n]
+        assert np.allclose(moments_at(mu, n), expect, rtol=1e-13, atol=0)
 
     def test_power_oracle(self):
         for kappa, beta in ((1.0, 0.5), (2.5, -0.5), (1.0, 1.0), (0.7, -0.9)):
             mu = RadialMeasure.power(kappa, beta)
             n = np.array([0, 1, 5, 50, 1000, 10**5])
-            got = np.array([moment(mu, int(k)) for k in n])
-            assert np.allclose(got, power_moment_oracle(kappa, beta, n), rtol=1e-10)
+            assert np.allclose(moments_at(mu, n), power_moment_oracle(kappa, beta, n),
+                               rtol=1e-10)
 
     def test_nu_alpha_oracle(self):
         for alpha in (1.25, 1.5, 1.75):
             mu = RadialMeasure.nu_alpha(alpha)
             n = np.array([0, 1, 17, 400, 10**4])
-            got = np.array([moment(mu, int(k)) for k in n])
-            assert np.allclose(got, nu_alpha_moment_oracle(alpha, n), rtol=1e-9)
+            assert np.allclose(moments_at(mu, n), nu_alpha_moment_oracle(alpha, n), rtol=1e-9)
 
     def test_rejects_negative_index(self, cat):
         with pytest.raises(ValueError):
-            moment(cat["lebesgue"], -1)
+            moments_at(cat["lebesgue"], [-1])
 
 
 class TestMomentPrefix:
@@ -264,7 +262,6 @@ class TestExactM0:
         mass = total_mass(mu)
         for N in (1, 4, 16, 1000):
             assert moment_prefix(mu, N).values[0] == mass
-        assert moment(mu, 0) == mass
         assert moments_at(mu, [0, 5])[0] == mass
         assert moments_at(mu, [5, 0])[1] == mass
         assert claim1_envelope(mu, 0)[1][0] == mass
@@ -276,7 +273,7 @@ class TestClaim1:
         lo, up = claim1_envelope(cat["delta0"], 5)
         assert up[0] == pytest.approx(1.0 / 6.0)
         assert lo[0] == pytest.approx((1.0 - math.exp(-1.0)) / 6.0)
-        assert moment(cat["delta0"], 5) == pytest.approx(up[0])  # sits at the top
+        assert moments_at(cat["delta0"], 5)[0] == pytest.approx(up[0])  # sits at the top
 
     def test_delta1_pushforward_atom_zero(self, cat):
         lo, up = claim1_envelope(cat["delta1"], 123)
@@ -285,7 +282,7 @@ class TestClaim1:
     def test_lebesgue_n9(self, cat):
         lo, up = claim1_envelope(cat["lebesgue"], 9)
         assert up[0] == pytest.approx(0.1 + 0.1 * math.log(10.0), rel=1e-12)
-        m9 = moment(cat["lebesgue"], 9)
+        m9 = moments_at(cat["lebesgue"], 9)[0]
         assert lo[0] <= m9 <= up[0]
 
     def test_random_measures(self, rng):
@@ -394,25 +391,3 @@ class TestBlockVerdict:
         assert dyadic_block_verdict(np.array([1.0, 1.1, 1.2, 1.3])) == "growing"
         assert dyadic_block_verdict(np.array([1.0, 0.5, 0.25, 0.12])) == "plateaued"
         assert dyadic_block_verdict(np.array([1.0])) == "plateaued"
-
-
-class TestAttainingSubsequence:
-    def test_nu_alpha_eventually_dense(self):
-        # m_n ~ c n^(-s0) with c < 1, so all large n satisfy the eps-relaxed bound
-        from shimorin_lab.multiplier import attaining_subsequence
-
-        mu = RadialMeasure.nu_alpha(1.5)
-        idx = attaining_subsequence(mu, 4096, eps=0.05)
-        assert idx.size > 0
-        assert idx[-1] == 4096  # still attaining at the top of the range
-        # divergence of the series over the set at s slightly above s0
-        m = moment_prefix(mu, 4096).values
-        terms = m[idx] * (idx + 1.0) ** (0.55 - 1.0)
-        half = terms[idx > 64].sum()
-        assert half > 0.25 * terms.sum()  # tail keeps contributing, no decay to 0
-
-    def test_eps_validation(self, cat):
-        from shimorin_lab.multiplier import attaining_subsequence
-
-        with pytest.raises(ValueError):
-            attaining_subsequence(cat["delta0"], 100, eps=0.0)

@@ -1,4 +1,4 @@
-"""Operator routes: multiplier, disk quadrature, radial formula, membership."""
+"""Operator routes: multiplier, disk quadrature, radial formula."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ import pytest
 from shimorin_lab.diskquad import DiskRule
 from shimorin_lab.measure import RadialMeasure
 from shimorin_lab.operator import (
-    HypothesisViolation,
     TaylorFunction,
     apply_multiplier,
     apply_quadrature,
     apply_radial,
-    bergman_membership,
 )
 
 
@@ -140,37 +138,13 @@ class TestRouteEquivalence:
 
 
 class TestMembership:
-    def test_geometric_boundary_function(self):
-        # a_n = 1 is f = 1/(1-z): in the 1.5-Bergman space, not in the 2-Bergman space
-        total, verdict = bergman_membership(np.ones(10001), 1.5)
-        assert verdict == "plateaued"
-        total, verdict = bergman_membership(np.ones(10001), 2.0)
-        assert verdict == "growing"
-
-    def test_boundary_exponent_excluded(self):
-        p = 1.5
-        t = 2.0 / p - 1.0
-        a = (np.arange(10001) + 1.0) ** t
-        _, verdict = bergman_membership(a, p)
-        assert verdict == "growing"
-
     def test_classical_l15_crosscheck(self):
-        # ||1/(1 - z conj(lam))^-1||_(L^1.5) stays bounded as |z| -> 1, matching
-        # the membership verdict for a_n = 1 at p = 1.5 (uses the graded-angular
-        # kernel rule; a uniform-angular rule cannot resolve a point singularity
-        # sitting on the boundary circle)
+        # ||(1 - z conj(lam))^-1||_(L^1.5) stays bounded as |z| -> 1: its
+        # coefficients a_n = 1 make sum (n+1)^(p-3) a_n^p converge at p = 1.5
+        # (uses the graded-angular kernel rule; a uniform-angular rule cannot
+        # resolve a point singularity sitting on the boundary circle)
         from shimorin_lab.kernel import kernel_lp_norm
         from shimorin_lab.measure import RadialMeasure
 
         val = kernel_lp_norm(RadialMeasure.dirac(0.0), 1.0 - 1e-6, 1.5)
         assert np.isfinite(val) and val < 10.0
-
-    def test_callable_coefficients(self):
-        total, verdict = bergman_membership(lambda n: 1.0 / (n + 1.0), 2.0, N=4096)
-        assert verdict == "plateaued"
-
-    def test_hypothesis_violation(self, rng):
-        a = np.ones(2049)
-        a[1::2] = 100.0  # oscillates within every block
-        with pytest.raises(HypothesisViolation):
-            bergman_membership(a, 1.5)

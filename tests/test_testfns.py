@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from route_oracles import direct_response
 from shimorin_lab import constants as cns
 from shimorin_lab import diskquad
 from shimorin_lab.diskquad import DiskRule, lp_norm, weak_norm
 from shimorin_lab.measure import RadialMeasure, critical_index
 from shimorin_lab.multiplier import moment_prefix
-from shimorin_lab.operator import TaylorFunction, apply_multiplier, bergman_membership
+from shimorin_lab.operator import TaylorFunction, apply_multiplier
 from shimorin_lab.testfns import (
     C_ZERO,
     C_ZERO_TILDE,
     _N_TERMS,
-    _direct_response,
     _parseval_area,
     _series_rule,
     _strong_norm,
@@ -121,12 +121,6 @@ class TestPowerAndBlock:
         g = power_testfn(-1.0, 64)
         assert g.coefficients[3] == pytest.approx(0.25)
 
-    def test_power_membership(self):
-        # exponent below 2/p - 1 gives membership at p = 1.5
-        f = power_testfn(0.2, 10000)
-        _, verdict = bergman_membership(f.coefficients.real, 1.5)
-        assert verdict == "plateaued"
-
     def test_block_reduces_to_power_for_delta1(self, cat):
         f = block_testfn(cat["delta1"], 0.3, 512)
         g = power_testfn(0.3, 512)
@@ -191,7 +185,7 @@ class TestIndicatorResponse:
             for t in (0.25, 0.0625):
                 for z in (0.3 + 0.2j, math.sqrt(1.0 - t)):
                     a = indicator_response(mu, t)(z)
-                    d = _direct_response(mu, "indicator", t)(z)
+                    d = direct_response(mu, "indicator", t)(z)
                     assert a == pytest.approx(d, rel=1e-9)
         # the aligned moments run on the box rule of the direct route, so the
         # two agree to rounding
@@ -199,7 +193,7 @@ class TestIndicatorResponse:
             mu = cat[name]
             for t in (0.25, 2.0 ** -6):
                 tf = aligned_response(mu, t)
-                direct = _direct_response(mu, "aligned", t)
+                direct = direct_response(mu, "aligned", t)
                 for z in (0.3 + 0.2j, math.sqrt(1.0 - t), (1.0 - t) * np.exp(0.3j)):
                     assert complex(tf(z)) == pytest.approx(complex(direct(z)), rel=1e-12)
 
