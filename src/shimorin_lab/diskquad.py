@@ -239,7 +239,9 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
         rows = max(1, _CALL_CHUNK // M)
         for lo in range(0, radii.size, rows):
             nodes = radii[lo:lo + rows, None] * phase[None, :]
-            yield lo, np.abs(_sample(f, nodes.ravel())).reshape(nodes.shape)
+            # float, also for a callable that returns integers or booleans
+            mods = np.abs(_sample(f, nodes.ravel())).astype(float, copy=False)
+            yield lo, mods.reshape(nodes.shape)
         return
     rows = max(1, _CHUNK // M)
     c = f.coefficients

@@ -514,7 +514,11 @@ def envelope_reports(mu: RadialMeasure, seed: int = 0, n: int = 50) -> list[Kern
     return [lo_rep, up_rep]
 
 
-def forelli_rudin_reports(seed: int = 0, n: int = 8) -> list[KernelBoundReport]:
+# seeded (t, c, |z|) triples per forelli_rudin_reports call
+_FORELLI_RUDIN_POINTS = 8
+
+
+def forelli_rudin_reports(seed: int = 0) -> list[KernelBoundReport]:
     """The Forelli-Rudin integral I between its closed sides, to
     ``KERNEL_NORM_BUDGET`` relative, at seeded (t, c, |z|):
 
@@ -525,8 +529,9 @@ def forelli_rudin_reports(seed: int = 0, n: int = 8) -> list[KernelBoundReport]:
     That 2F1 has coefficients (b)_n^2 / ((t+2)_n n!) >= 0, so on [0, 1] it rises
     from 1 to Gauss's value Gamma(t+2) Gamma(c) / Gamma(a)^2 (c > 0). Both sides
     are equal at c = t+2. t is uniform on [-0.9, 3], c on [0.05, 3], and
-    |z| = 1 - 10^-U(0.3, 4).
+    |z| = 1 - 10^-U(0.3, 4), at ``_FORELLI_RUDIN_POINTS`` triples.
     """
+    n = _FORELLI_RUDIN_POINTS
     rng = np.random.default_rng(seed)
     ts = rng.uniform(-0.9, 3.0, n)
     cs = rng.uniform(0.05, 3.0, n)

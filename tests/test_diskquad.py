@@ -138,6 +138,17 @@ class TestLpNorm:
             tracemalloc.stop()
         assert peak <= 10.5e6
 
+    def test_integer_and_bool_callables(self, rule):
+        # a callable may return integers or booleans; the norms read them as floats
+        twos = SampledFunction(lambda z: np.full(z.shape, 2, dtype=np.int64))
+        inner = SampledFunction(lambda z: np.abs(z) < 0.5)
+        inner_float = SampledFunction(lambda z: (np.abs(z) < 0.5).astype(float))
+        for p in (1.0, 1.5, 3.0):
+            assert lp_norm(twos, p, rule) == pytest.approx(2.0, rel=1e-12)
+            assert lp_norm(inner, p, rule) == lp_norm(inner_float, p, rule)
+        assert weak_norm(twos, 2.0, rule) == pytest.approx(2.0, rel=1e-12)
+        assert weak_norm(inner, 2.0, rule) == weak_norm(inner_float, 2.0, rule)
+
     def test_overflow_raises_without_warning(self, rule):
         # |f|^2 overflows double precision; the norm raises rather than
         # returning inf (the package's RuntimeWarnings are errors in the suite)
