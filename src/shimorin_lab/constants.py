@@ -54,10 +54,15 @@ TOL_SMOOTH = 1e-8
 # n = 131072 (the closed forms agree with mpmath to 1.7e-15).
 MOMENT_BUDGET = 1e-10
 
-# Relative error budget of kernel.kernel_lp_norm, on its polar rule sized to
-# the gap 1 - |z|. The error actually reached is at most 1.3e-12 against
-# 2F1(alpha p/2, alpha p/2; 2; |z|^2)^(1/p), the nu_alpha kernel norm, for
-# alpha in {1.1, 1.5, 1.9, 1.99}, |z| from 0.05 to 0.9999 and p from 1.05 to 8.
+# Relative error budget of kernel.kernel_lp_norm and kernel.forelli_rudin_check,
+# on their polar rule graded toward the corner of |z|. The error actually
+# reached, for |z| from 0.05 to 0.9999 and p from 1.05 to 8, is at most
+# 1.26e-12 against 2F1(alpha p/2, alpha p/2; 2; |z|^2)^(1/p), the nu_alpha
+# kernel norm, for alpha in {1.1, 1.5, 1.9, 1.99}, and 1.1e-12 against the
+# tensor-product rule six octaves deeper at Gauss order 16 on power densities
+# (beta in {-0.9, -0.5, 0.2, 1.5}), an atom at 0.99, nu_1.5 plus an atom at 1
+# and a tabulated grid. The Forelli-Rudin integral is within 1.9e-12 of
+# 2F1(a, a; t+2; |z|^2)/(t+1) for t in [-0.9, 3] and c in [0.05, 3].
 KERNEL_NORM_BUDGET = 1e-11
 
 # Error budget of kernel.double_integral_eval, relative to |K| + nu([0,1]), on
@@ -65,6 +70,9 @@ KERNEL_NORM_BUDGET = 1e-11
 # reached is at most 1.5e-15 against the mpmath 2F1 closed form on power
 # densities with beta in {-0.5, 0.202, 1.2} at |1 - w| from 1e-1 to 1e-4;
 # eval_kernel reaches 9.3e-16 there. At Gauss order 8 it was 8.3e-13.
+# kernel.representation_report (verify's double-integral check) holds the two
+# routes to it: on its pairs they differ by at most 4.5e-15 (nu_alpha, power
+# densities, atoms up to x = 1 - 1e-13, tabulated grids, mixtures).
 DOUBLE_INTEGRAL_BUDGET = 1e-14
 
 # Relative error budget of the even-q disk norms of a polynomial

@@ -20,13 +20,18 @@ a catalog measure they cross-check both; the nested route is within
 ``constants.DOUBLE_INTEGRAL_BUDGET`` of the closed forms.
 
 L^p norms of K(z, .) and the Forelli-Rudin integral run on one polar rule,
-``_graded_polar(s, t)``, sized to the gap 1 - |z| (a uniform angular grid
-would need ~1/(1-|z|) nodes); by rotation invariance the norm depends on |z|
-only. Radial panels halve toward rho = 1 down to 1 - 2^-d,
-d = ceil(log2(1/gap)) + 2; the last panel [1 - 2^-d, 1] is Gauss-Jacobi in
-v = 1 - rho and carries the v^t of the weight (1 - rho^2)^t exactly (t = 0
-for the kernel norm). Angular panels double away from one Gauss panel on
-[0, gap/16]. The error reached on nu_alpha is stated with
+``_graded_polar(s)``, graded toward the one near-singular corner rho = 1,
+theta = 0 of |z| = s (a uniform angular grid would need ~1/(1-|z|) nodes);
+by rotation invariance the norm depends on |z| only. The rule depends on the
+depth d = ceil(log2(1/gap)) + 2, gap = 1 - |z|, alone and is built once per
+depth (``_polar_rule``). It is a union of tensor blocks of Gauss panels in
+v = 1 - rho and theta: each radial band v in [2^-(k+1), 2^-k] is refined in
+angle only down to a first panel of half its distance from the singularity,
+and each angular panel [a, 2a] in radius only down to v = a/2, below which
+one Gauss-Jacobi panel closes it and carries the v^t of the weight
+(1 - rho^2)^t exactly (t = 0 for the kernel norm). That is 64 (5d + 2) nodes,
+where crossing every radial panel with every angular panel took about
+64 (d + 1)(d + 5). The error reached is stated with
 ``constants.KERNEL_NORM_BUDGET``. The envelope's upper side sums the inner
 integral in one form, (1 - x)^c expm1((c+1) log1p(y)) / ((c+1) y), that does
 not cancel for any |z| or node.
@@ -216,36 +221,97 @@ def double_integral_eval(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
 _POLAR_ORDER = 8
 
 
-def _graded_polar(s: float, t: float = 0.0):
-    """Polar rule resolving |1 - s*rho*e^(i theta)|-type concentration at theta=0,
-    with the radial weight (1 - rho^2)^t folded in, t > -1.
+@dataclass(frozen=True, eq=False)
+class _PolarRule:
+    """The corner-graded polar rule of one depth d (``_polar_rule``). Every
+    array is read-only, one row of ``_POLAR_ORDER`` nodes per panel.
 
-    Returns (rho, w_rho, theta, w_theta) with the area factors folded in so that
-    integral (1 - |lam|^2)^t g dA ~ sum_ij w_rho[i] w_theta[j] g(rho_i e^(i theta_j))
-    for g even in theta. Both meshes are sized to the gap 1 - s: radial breaks
-    1 - 2^-k, k = 0..d, d = ceil(log2(1/gap)) + 2, then a last panel [1 - 2^-d, 1]
-    that is Gauss-Jacobi in v = 1 - rho, carrying v^t of (1 - rho^2)^t =
-    v^t (2 - v)^t exactly; angular panels double away from a first panel
-    [0, gap/16] on [0, pi], weights divided by pi.
+    Radial panels, in v = 1 - rho: the bands [2^-(k+1), 2^-k], k < d (Gauss),
+    then the panels [0, 2^-n], n <= d (Gauss-Jacobi). Angular panels: the
+    columns [2^e, 2^(e+1)], -d <= e <= 1 (the last one ends at pi), then the
+    prefixes [0, 2^e] in the same order. Block b crosses radial panel bi[b]
+    with angular panel bj[b].
     """
-    gap = max(1.0 - s, 1e-15)
-    depth = int(np.ceil(-np.log2(gap))) + 2
-    breaks = 1.0 - 2.0 ** (-np.arange(depth + 1, dtype=float))
-    rho, g = panel_rule(breaks, _POLAR_ORDER)
-    g *= (1.0 - rho * rho) ** t
-    h = 1.0 - breaks[-1]
+
+    band_v: np.ndarray    # Gauss nodes in v on the bands
+    band_w: np.ndarray    # their weights
+    jacobi: np.ndarray    # the lengths 2^-n of the Gauss-Jacobi panels
+    rho: np.ndarray       # radii of every radial panel at t = 0
+    w_rho: np.ndarray     # their weights at t = 0, area factor 2 rho folded in
+    phase: np.ndarray     # e^(-i theta) on every angular panel
+    sin2: np.ndarray      # sin^2(theta / 2)
+    w_theta: np.ndarray   # angular weights over pi
+    bi: np.ndarray
+    bj: np.ndarray
+
+    def cross(self, radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
+        """radial x angular on every block, shape (blocks, order, order)."""
+        return radial[self.bi, :, None] * angular[self.bj, None, :]
+
+
+def _polar_radial(band_v: np.ndarray, band_w: np.ndarray, jacobi: np.ndarray,
+                  t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and weights of the radial panels with (1 - rho^2)^t = v^t (2 - v)^t
+    folded in: on the bands as a factor of the weights, on each [0, h] as the
+    Gauss-Jacobi rule of v^t (``jacobi_rule``, cached per t) times (2 - v)^t."""
     x, gj = jacobi_rule(_POLAR_ORDER, t)
-    v = h * x
-    rho = np.concatenate((rho, 1.0 - v))
-    w_rho = np.concatenate((g, h ** (t + 1.0) * gj * (2.0 - v) ** t)) * 2.0 * rho
-    theta, w_theta = panel_rule(np.concatenate(([0.0], geometric_breaks(gap / 16.0, np.pi))),
-                                _POLAR_ORDER)
-    return rho, w_rho, theta, w_theta / np.pi
+    h = jacobi[:, None]
+    vj = h * x
+    v = np.concatenate((band_v, vj))
+    w = np.concatenate((band_w * (band_v * (2.0 - band_v)) ** t,
+                        h ** (t + 1.0) * gj * (2.0 - vj) ** t))
+    rho = 1.0 - v
+    return rho, 2.0 * rho * w
+
+
+@lru_cache(maxsize=64)  # one entry per depth, d <= 52
+def _polar_rule(depth: int) -> _PolarRule:
+    """The polar rule graded toward the corner rho = 1, theta = 0 at depth d.
+
+    Band k (v in [2^-(k+1), 2^-k]) takes the prefix [0, max(2^-(k+2), 2^-d)],
+    at most half its distance v + gap from the singularity, then the columns
+    up to [2^-k, 2^(1-k)]. Column [a, 2a] takes the bands down to v = a/2,
+    then the Gauss-Jacobi panel [0, max(a/2, 2^-d)]. The corner is
+    [0, 2^-d] x [0, 2^-d]. 5d + 2 blocks in all.
+    """
+    x, g = gauss_rule(_POLAR_ORDER)
+    k = np.arange(depth)
+    lo = 2.0 ** -(k + 1.0)
+    band_v = lo[:, None] * (1.5 + 0.5 * x)
+    band_w = 0.5 * lo[:, None] * g
+    jacobi = 2.0 ** -np.arange(depth + 1.0)
+    rho, w_rho = _polar_radial(band_v, band_w, jacobi, 0.0)
+    e = np.arange(-depth, 2)
+    a = 2.0 ** e
+    th_lo = np.concatenate((a, np.zeros(e.size)))
+    half = 0.5 * (np.concatenate((np.minimum(2.0 * a, np.pi), a)) - th_lo)[:, None]
+    theta = th_lo[:, None] + half * (x + 1.0)
+    # column e is angular panel e + d, prefix e is panel e + d + (d + 2); band k
+    # is radial panel k, [0, 2^-n] is radial panel d + n. Blocks: every band on
+    # its prefix, band k on the columns e = -k-2 .. -k above its prefix, every
+    # column on its Gauss-Jacobi panel, and the corner.
+    ck = np.repeat(k, 3)
+    ce = np.tile(np.arange(-2, 1), depth) - ck
+    keep = ce >= -depth
+    bi = np.concatenate((k, ck[keep], depth + np.minimum(1 - e, depth), [2 * depth]))
+    bj = np.concatenate((np.maximum(-k - 2, -depth) + depth + e.size, ce[keep] + depth,
+                         e + depth, [e.size]))
+    arrays = (band_v, band_w, jacobi, rho, w_rho, np.exp(-1j * theta),
+              np.sin(0.5 * theta) ** 2, half * g / np.pi, bi, bj)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _PolarRule(*arrays)
+
+
+def _graded_polar(s: float) -> _PolarRule:
+    """The polar rule for |z| = s: depth d = ceil(log2(1/gap)) + 2, gap = 1 - s."""
+    gap = max(1.0 - s, 1e-15)
+    return _polar_rule(int(np.ceil(-np.log2(gap))) + 2)
 
 
 def kernel_lp_norm(mu: RadialMeasure, z, p: float) -> float:
-    """L^p(disk) norm of lam -> K(z, lam), 1 <= p < infinity, on a
-    boundary-graded polar rule adapted to |z|. Raises OverflowError when the
+    """L^p(disk) norm of lam -> K(z, lam), 1 <= p < infinity, on the polar rule
+    graded toward the singular corner of |z|. Raises OverflowError when the
     norm is not finite in double precision.
     """
     if p < 1.0:
@@ -253,12 +319,12 @@ def kernel_lp_norm(mu: RadialMeasure, z, p: float) -> float:
     s = float(np.abs(z))
     if s >= 1.0:
         raise ValueError("z must lie in the open disk")
-    rho, w_rho, theta, w_theta = _graded_polar(s)
-    w = s * rho[:, None] * np.exp(-1j * theta)[None, :]
+    rule = _graded_polar(s)
+    w = rule.cross(s * rule.rho, rule.phase)
     # |K|^p may overflow; a non-finite norm raises below instead of warning
     with np.errstate(over="ignore"):
         vals = np.abs(_resolvent(mu, w) / (1.0 - w)) ** p
-        norm = float((w_rho @ vals @ w_theta) ** (1.0 / p))
+        norm = float(np.vdot(rule.cross(rule.w_rho, rule.w_theta), vals) ** (1.0 / p))
     if not np.isfinite(norm):
         raise OverflowError(f"kernel L^{p} norm is not finite in double precision")
     return norm
@@ -386,12 +452,15 @@ def forelli_rudin_check(t_exp: float, c_exp: float, z) -> tuple[float, float]:
     if t_exp <= -1.0 or c_exp <= 0.0:
         raise ValueError("need t > -1 and c > 0")
     s = float(np.abs(z))
-    rho, w_rho, theta, w_theta = _graded_polar(s, t_exp)
+    rule = _graded_polar(s)
+    # t enters through the weights and the Gauss-Jacobi panels alone
+    rho, w_rho = _polar_radial(rule.band_v, rule.band_w, rule.jacobi, t_exp)
     sr = s * rho
     # |1 - s rho e^(i theta)|^2 = (1 - s rho)^2 + 4 s rho sin^2(theta/2), which
     # does not cancel near theta = 0
-    gap2 = (1.0 - sr)[:, None] ** 2 + (4.0 * sr)[:, None] * np.sin(0.5 * theta)[None, :] ** 2
-    integral = float(w_rho @ gap2 ** (-0.5 * (2.0 + c_exp + t_exp)) @ w_theta)
+    gap2 = (1.0 - sr)[rule.bi, :, None] ** 2 + rule.cross(4.0 * sr, rule.sin2)
+    integral = float(np.vdot(rule.cross(w_rho, rule.w_theta),
+                             gap2 ** (-0.5 * (2.0 + c_exp + t_exp))))
     return integral, (1.0 - s * s) ** (-c_exp)
 
 
@@ -471,13 +540,14 @@ def universal_size_report(mu: RadialMeasure, seed: int = 0, n: int = 1000) -> Ke
 
 
 def representation_report(mu: RadialMeasure, seed: int = 0, n: int = 100) -> KernelBoundReport:
-    """Direct kernel equals the nested double-integral route to 1e-7 relative."""
+    """Direct kernel equals the nested double-integral route to
+    ``DOUBLE_INTEGRAL_BUDGET`` relative to |K| + nu([0,1])."""
     rng = np.random.default_rng(seed)
     z, lam = sample_boundary_pairs(rng, n, depth=3.0)
     a = eval_kernel(mu, z, lam)
     b = double_integral_eval(mu, z, lam)
     return bound_report("double-integral-agreement", np.abs(a - b),
-                        1e-7 * (np.abs(a) + total_mass(mu)), (z, lam))
+                        cns.DOUBLE_INTEGRAL_BUDGET * (np.abs(a) + total_mass(mu)), (z, lam))
 
 
 def cz_pointwise_reports(mu: RadialMeasure, seed: int = 0, n: int = 1000

@@ -129,9 +129,13 @@ class Atom:
     def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
         """mass (1 - x w)^-1, or with ``derivative`` mass x (1 - x w)^-2."""
         w = np.asarray(w, dtype=complex)
+        # 1 - x w = (1 - w) + (1 - x) w, in this form so that the gap 1 - w is
+        # exact: 1 - x w itself rounds to ~eps/|1 - x w| relative (1.6e-14 at
+        # x = 0.99999, |1 - w| = 4e-3)
+        gap = (1.0 - w) + (1.0 - self.x) * w
         if derivative:
-            return self.mass * self.x / (1.0 - self.x * w) ** 2
-        return self.mass / (1.0 - self.x * w)
+            return self.mass * self.x / gap ** 2
+        return self.mass / gap
 
     def moments(self, n: np.ndarray) -> np.ndarray:
         """mass * (1 - x^(n+1)) / ((n+1)(1-x)), handled stably at x in {0, 1}; the

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from shimorin_lab import constants as cns
+from shimorin_lab import kernel as kr
 from shimorin_lab._gridquad import resolvent_sum
 from shimorin_lab.diskquad import DiskRule, lp_norm
 from shimorin_lab.kernel import (
+    _POLAR_ORDER,
     _graded_polar,
+    _polar_radial,
+    _polar_rule,
     _resolvent,
     _rule_for_gap,
     CzConstants,
@@ -43,6 +47,8 @@ from shimorin_lab.measure import (
     split_at_one,
     total_mass,
 )
+
+from route_oracles import tensor_kernel_lp_norm, tensor_polar
 
 # a tabulated grid holding r = 0 and r = 1
 _GRID = np.linspace(0.0, 1.0, 33)
@@ -118,8 +124,8 @@ class TestResolvent:
         rng = np.random.default_rng(53)
         density = PowerDensity(1.3, beta)
         for s in (0.5, 0.98, 1.0 - 1e-6):
-            rho, _, theta, _ = _graded_polar(s)
-            w = (s * rho[:, None] * np.exp(-1j * theta)[None, :]).ravel()
+            rule = _graded_polar(s)
+            w = rule.cross(s * rule.rho, rule.phase).ravel()
             w = np.concatenate((w[np.argsort(np.abs(1.0 - w))[:8]], rng.choice(w, 16)))
             for derivative in (False, True):
                 got = density.resolvent(w, derivative)
@@ -151,6 +157,24 @@ class TestResolvent:
                     gap, a = 1 - mpmath.mpc(x.real, x.imag), mpmath.mpf(alpha)
                     ref = complex((a - 1) * gap ** -a if derivative else gap ** (1 - a))
                 assert abs(v - ref) <= 1e-15 * abs(ref), (x, derivative)
+
+    def test_atom_near_one_against_mpmath(self):
+        # mass (1 - x w)^-1 and mass x (1 - x w)^-2 at w within 1e-1..1e-4 of 1
+        # hold to a few ulps; 1 - x w formed directly rounds to ~eps/|1 - x w|
+        # relative (1.6e-14 at x = 0.99999)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(61)
+        rho = 1.0 - 10.0 ** -rng.uniform(1.0, 4.0, 60)
+        w = rho * np.exp(1j * 10.0 ** -rng.uniform(1.0, 4.0, 60) * rng.choice([-1.0, 1.0], 60))
+        for x in (0.5, 0.999, 0.99999, 1.0 - 1e-12):
+            atom = Atom(x, 1.3)
+            for derivative in (False, True):
+                got = atom.resolvent(w, derivative)
+                for g, wi in zip(got, w):
+                    with mpmath.workdps(30):
+                        gap = 1 - mpmath.mpf(x) * mpmath.mpc(wi.real, wi.imag)
+                        ref = complex(1.3 * (mpmath.mpf(x) / gap ** 2 if derivative else 1 / gap))
+                    assert abs(g - ref) <= 2e-15 * abs(ref), (x, wi, derivative)
 
     def test_every_density_has_a_resolvent(self):
         w = np.array([0.5 + 0.1j, -0.3j])
@@ -259,6 +283,19 @@ class TestDoubleIntegral:
             double_integral_eval(cat["delta1"], 0.5, 0.5)
 
     @pytest.mark.parametrize("mu", [
+        RadialMeasure.power(1.0, -0.5),
+        RadialMeasure.nu_alpha(1.5),
+        RadialMeasure.lebesgue() + RadialMeasure.dirac(0.99999, 0.7),
+    ], ids=["power_-0.5", "nu_1.5", "lebesgue+atom_0.99999"])
+    def test_check_holds_the_budget(self, mu, monkeypatch):
+        # the check passes the route at Gauss order 10 and fails it at order 8
+        # (8.3e-13 relative), five orders of magnitude below a 1e-7 tolerance
+        for seed in range(5):
+            assert representation_report(mu, seed).passed, seed
+        monkeypatch.setattr(kr, "_GAP_RULE_ORDER", 8)
+        assert not any(representation_report(mu, seed).passed for seed in range(5))
+
+    @pytest.mark.parametrize("mu", [
         RadialMeasure.nu_alpha(1.4) + RadialMeasure.dirac(0.3, 0.8),
         RadialMeasure.power(1.0, -0.5),
         RadialMeasure(densities=(TabulatedDensity(tuple(_GRID), tuple(1.0 + _GRID ** 2)),)),
@@ -312,7 +349,7 @@ class TestDoubleIntegral:
         z, lam = sample_boundary_pairs(rng, 100, depth=3.0)
         a = eval_kernel(mu, z, lam)
         b = double_integral_eval(mu, z, lam)
-        assert np.max(np.abs(a - b) / (np.abs(a) + total_mass(mu))) <= 1e-7
+        assert np.max(np.abs(a - b) / (np.abs(a) + total_mass(mu))) <= cns.DOUBLE_INTEGRAL_BUDGET
 
 
 class TestKernelNorm:
@@ -365,8 +402,9 @@ class TestKernelNorm:
         # the rule carries (1 - |lam|^2)^t: its total mass is the integral of
         # (1 - |lam|^2)^t dA, 1/(t + 1), at every gap
         for s in (0.0, 0.9, 0.999, 1.0 - 1e-6):
-            _, w_rho, _, w_theta = _graded_polar(s, t)
-            got = float(np.sum(w_rho) * np.sum(w_theta))
+            rule = _graded_polar(s)
+            _, w_rho = _polar_radial(rule.band_v, rule.band_w, rule.jacobi, t)
+            got = float(np.sum(rule.cross(w_rho, rule.w_theta)))
             assert abs(got - 1.0 / (t + 1.0)) <= 1e-12 / (t + 1.0), (s, t)
 
     def test_overflow_raises_without_warning(self):
@@ -375,6 +413,47 @@ class TestKernelNorm:
         mu = RadialMeasure.dirac(0.999999, 1e300)
         with pytest.raises(OverflowError):
             kernel_lp_norm(mu, 0.9, 2.0)
+
+
+class TestPolarRule:
+    def test_one_read_only_rule_per_depth(self):
+        # |z| = 0.9 and 0.91 both have depth 6: one cached rule, arrays read-only
+        rule = _graded_polar(0.9)
+        assert _graded_polar(0.91) is rule
+        for name in ("band_v", "band_w", "jacobi", "rho", "w_rho", "phase", "sin2",
+                     "w_theta", "bi", "bj"):
+            with pytest.raises(ValueError):
+                getattr(rule, name)[0] = 0
+
+    def test_forelli_rudin_adds_no_cache_entry(self):
+        rng = np.random.default_rng(67)
+        zs = (0.3, 0.9, 0.999)
+        for z in zs:
+            forelli_rudin_check(0.0, 1.0, z)
+        before = _polar_rule.cache_info()
+        for t, c in zip(rng.uniform(-0.9, 3.0, 100), rng.uniform(0.05, 3.0, 100)):
+            forelli_rudin_check(t, c, zs[int(rng.integers(3))])
+        after = _polar_rule.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+    @pytest.mark.parametrize("s,share", [(0.9, 0.6), (0.999, 0.4)])
+    def test_fewer_nodes_than_the_tensor_rule(self, s, share):
+        rho, _, theta, _ = tensor_polar(s)
+        assert _graded_polar(s).bi.size * _POLAR_ORDER ** 2 <= share * rho.size * theta.size
+
+    @pytest.mark.parametrize("mu", [
+        *(RadialMeasure.power(1.0, beta) for beta in (-0.9, -0.5, 0.2, 1.5)),
+        RadialMeasure.dirac(0.99),
+        RadialMeasure.nu_alpha(1.5) + RadialMeasure.dirac(1.0),
+        RadialMeasure(densities=(TabulatedDensity(tuple(_GRID), tuple(1.0 + _GRID ** 2)),)),
+    ], ids=["power_-0.9", "power_-0.5", "power_0.2", "power_1.5", "atom_0.99",
+            "nu_1.5+atom_1", "tabulated"])
+    def test_within_budget_of_the_deep_tensor_rule(self, mu):
+        for s in (0.05, 0.5, 0.9, 0.99, 0.999, 0.9999):
+            for p in (1.05, 2.0, 3.0, 8.0):
+                ref = tensor_kernel_lp_norm(mu, s, p)
+                got = kernel_lp_norm(mu, s, p)
+                assert abs(got - ref) <= cns.KERNEL_NORM_BUDGET * ref, (s, p)
 
 
 def _c_p(p: float) -> float:
