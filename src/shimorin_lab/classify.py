@@ -168,12 +168,17 @@ def standard_estimate(mu: RadialMeasure) -> StandardEstimate:
     1 < c < 2: the (2 - 2/c)-Carleson constant must be finite;
     c = 2: the hyperbolic integral must be finite.
     """
-    c = critical_index(mu).c
+    ci = critical_index(mu)
+    c = ci.c
     if c <= 1.0:
         return StandardEstimate(True, c, "finite-measure",
                                 DivergibleValue.finite(total_mass(mu)))
-    if c < 2.0 - 1e-12:
-        w = carleson_constant(mu, 2.0 - 2.0 / c)
+    # s0 itself, not c, picks the branch and is the exponent 2 - 2/c: from
+    # c = 2 / (2 - s0), an s0 an ulp below 1 gives c within 1e-15 of 2, and
+    # 2 - 2/c can land an ulp above s0, where the closed Carleson rules read
+    # "divergent"
+    if ci.s0 < 1.0:
+        w = carleson_constant(mu, ci.s0)
         return StandardEstimate(w.is_finite, c, "carleson", w)
     w = hyperbolic_integral(mu)
     return StandardEstimate(w.is_finite, c, "hyperbolic", w)

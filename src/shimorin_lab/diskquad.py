@@ -16,13 +16,20 @@ summed by FFT: its coefficients scaled by rho^n and folded mod M are the
 circle's discrete Fourier coefficients. The coefficients are folded once per
 function into a J x M array C (J = ceil((N+1)/M)), so on the circle of radius
 rho the folded coefficient k is rho^k sum_j C[j, k] rho^(jM): each radius
-costs M exponentials, a length-J product and one FFT, whatever the degree N.
-Real coefficients take a real FFT of the upper half circle, and conjugate
-symmetry, f(rho e^(-i theta)) = conj f(rho e^(i theta)), fills the lower half;
-complex ones take an inverse FFT. Any other callable is evaluated at the
-nodes rho e^(2 pi i k / M). ``lp_norm`` accumulates radius by radius: the
-radial weight times the mean of |f|^p over the circle. Every consumer drops a
-block before the sampler builds the next, so one block is alive at a time.
+costs at most M exponentials, a length-J product and one FFT, whatever the
+degree N. The powers with k log rho < -746 are exactly 0.0 and are not
+taken; on the inner circles of a large M that is most of them. Real
+coefficients take a real FFT, and the sampler yields only the closed upper
+half circle, M // 2 + 1 columns: by conjugate symmetry,
+|f(rho e^(-i theta))| = |f(rho e^(i theta))|, so each column but the angles 0
+and pi also stands for its mirror image, and comes with that multiplicity.
+Complex coefficients take an inverse FFT, and any other callable is evaluated
+at the nodes rho e^(2 pi i k / M); both yield whole circles. ``lp_norm``
+accumulates radius by radius: the radial weight times the mean of |f|^p over
+the circle, each column counted with its multiplicity. ``weak_norm`` carries
+the multiplicities as weights; ``bloch_seminorm`` needs only the maximum.
+Every consumer drops a block before the sampler builds the next, so one block
+is alive at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +64,9 @@ _CALL_CHUNK = 1 << 18
 # caller's point loop (64 KiB) stays below glibc's 128 KiB mmap threshold, so
 # its cost does not depend on what the process freed before
 _NODE_BLOCK = 1 << 12
+# exp(x) is exactly 0.0 below -745.14 (half the least subnormal): the sampler
+# skips the powers rho^k with k log rho < _EXP_ZERO
+_EXP_ZERO = -746.0
 # element cap on one (B x points) array of powers in _block_horner
 _HORNER_CHUNK = 1 << 14
 # float-bit bins of weak_norm's histogram: a double's bits >> 40 keep its
@@ -64,15 +74,18 @@ _HORNER_CHUNK = 1 << 14
 _BIN_SHIFT = 40
 # relative slack of weak_norm's bin tests against rounding in the weight sums
 _WEAK_SLACK = 1e-9
-# samples per histogram update of weak_norm: its int64 bins and their weights
-# stay at 512 KiB each, well below the sampler's block
+# samples per candidate scan of weak_norm's pass 2: its int64 bin offsets stay
+# at 512 KiB, well below the sampler's block (pass 1 bins a whole block in
+# place, in the block's own memory)
 _WEAK_PIECE = 1 << 16
-# circles' worth of its largest samples that weak_norm's pass 1 keeps: enough
-# for every candidate sample of a field whose sup sits on a small set (the box
-# responses need 1.2 to 2.7 circles' worth at t <= 2^-8), while a flat field,
-# whose candidates are most of its samples, pays only for the buffer. The
-# buffer has room for half as much again, so that the threshold rises once per
-# two circles' worth of new samples above it, not on every piece
+# the entries of weak_norm's pass-1 buffer of largest samples, in units of M:
+# enough for every candidate sample of a field whose sup sits on a small set,
+# while a flat field, whose candidates are most of its samples, pays only for
+# the buffer. An entry is one sampler column, so 4M entries hold 4 whole
+# circles of a complex field or a callable, and 8 half circles of a real one
+# (the power -0.5 box responses at q = 4/3 need 6.2 circles' worth at
+# t = 2^-6 and 1.2 at 2^-10). The buffer has room for half as much again, so
+# that the threshold rises once per 2M new entries above it, not on every block
 _WEAK_KEEP_CIRCLES = 4
 
 
@@ -233,7 +246,14 @@ def _sample(f, nodes: np.ndarray) -> np.ndarray:
 
 
 def _circle_blocks(f, radii: np.ndarray, M: int):
-    """Yield (lo, mods): mods[k] holds |f| on the M-point circle of radius radii[lo + k]."""
+    """Yield (lo, mods, mult): mods[k] holds |f| on the circle of radius radii[lo + k].
+
+    For real coefficients the columns are the closed upper half circle, the
+    H = M // 2 + 1 angles 2 pi j / M, j < H, and column j stands for mult[j]
+    of the M angles: |f(rho e^(-i theta))| = |f(rho e^(i theta))|, so every
+    column but 0 and (for even M) M / 2 also holds its mirror image. Complex
+    coefficients and callables yield all M angles, with mult None.
+    """
     phase = _circle(M)
     if not isinstance(f, TaylorFunction):
         rows = max(1, _CALL_CHUNK // M)
@@ -241,11 +261,18 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
             nodes = radii[lo:lo + rows, None] * phase[None, :]
             # float, also for a callable that returns integers or booleans
             mods = np.abs(_sample(f, nodes.ravel())).astype(float, copy=False)
-            yield lo, mods.reshape(nodes.shape)
+            yield lo, mods.reshape(nodes.shape), None
         return
-    rows = max(1, _CHUNK // M)
     c = f.coefficients
     real = not c.imag.any()
+    H = M // 2 + 1 if real else M
+    mult = None
+    if real:
+        mult = np.full(H, 2.0)
+        mult[0] = 1.0
+        if M % 2 == 0:
+            mult[-1] = 1.0  # the Nyquist column, its own mirror image
+    rows = max(1, _CHUNK // H)
     # coefficient n = j M + k at C[j, k], zero-padded to whole turns of the circle
     J = -(-c.size // M)
     C = np.zeros(J * M, dtype=float if real else complex)
@@ -253,36 +280,64 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
     C = C.reshape(J, M)
     k_pow = np.arange(M, dtype=float)
     turn_pow = M * np.arange(J, dtype=float)
-    tail = (M - 1) // 2
     for lo in range(0, radii.size, rows):
         block = radii[lo:lo + rows]
-        mods = np.empty((block.size, M))
+        mods = np.empty((block.size, H))
+        # scalar math.log: np.log on an array can differ in the last ulp
+        logs = [math.log(rho) if rho > 0 else -math.inf for rho in block]
+        # rho^k is exactly 0.0 from k = live on, where k log rho < _EXP_ZERO
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.array(logs)
+            lives = np.where(x * (M - 1) >= _EXP_ZERO, M,
+                             np.floor(_EXP_ZERO / x) + 1.0).astype(int).tolist()
         # rho^n underflows harmlessly; an overflow is reported below
         with np.errstate(all="ignore"):
-            for i, rho in enumerate(block):
-                if rho > 0:
-                    # scalar math.log: np.log on an array can differ in the last ulp
-                    log_rho = math.log(rho)
+            for i, (rho, log_rho, live) in enumerate(zip(block, logs, lives)):
+                if rho == 0.0:
+                    bins = np.zeros(M, dtype=C.dtype)
+                    bins[0] = C[0, 0]
+                elif live == M:
                     # folded bin k: rho^k sum_j C[j, k] rho^(jM)
                     bins = np.exp(turn_pow * log_rho) @ C
                     bins *= np.exp(k_pow * log_rho)
                 else:
-                    bins = np.zeros(M, dtype=C.dtype)
-                    bins[0] = C[0, 0]
+                    # rho^(jM) = 0.0 for j >= 1 as well: the fold is C[0]
+                    bins = C[0].copy()
+                    bins[:live] *= np.exp(k_pow[:live] * log_rho)
+                    bins[live:] = 0.0
                 if real:
-                    # real bins: f = M ifft = conj rfft on the upper half circle;
-                    # f(rho e^(-i theta)) = conj f(rho e^(i theta)) on the lower
-                    half = np.abs(np.fft.rfft(bins))
-                    mods[i, :half.size] = half
-                    mods[i, half.size:] = half[tail:0:-1]
+                    # real bins: f = M ifft = conj rfft on the upper half circle
+                    np.abs(np.fft.rfft(bins), out=mods[i])
                 else:
                     mods[i] = np.abs(np.fft.ifft(bins) * M)
         if not np.isfinite(mods).all():
             k, j = np.unravel_index(np.argmax(~np.isfinite(mods)), mods.shape)
             raise NonFiniteSampleError(complex(block[k] * phase[j]))
-        yield lo, mods
+        yield lo, mods, mult
         # a caller that dropped the block frees it before the next is built
         del mods
+
+
+def _circle_sums(mods: np.ndarray, mult) -> np.ndarray:
+    """Row sums of a sampler block over the whole circle: on a half circle,
+    twice the interior columns plus the edge ones (numpy's pairwise sums)."""
+    if mult is None:
+        return mods.sum(axis=1)
+    inner = 1 + np.count_nonzero(mult == 2.0)
+    sums = mods[:, 1:inner].sum(axis=1)
+    sums *= 2.0
+    sums += mods[:, 0]
+    if inner < mods.shape[1]:
+        sums += mods[:, inner]
+    return sums
+
+
+def _weights_of(w: np.ndarray, mult, width: int, k: np.ndarray) -> np.ndarray:
+    """Rule weights of the flat samples k of a sampler block of the given
+    width whose circles weigh w per angle: a half-circle column counts mult
+    times."""
+    rows, cols = np.divmod(k, width)
+    return w[rows] if mult is None else w[rows] * mult[cols]
 
 
 class QuadratureNonconvergence(RuntimeError):
@@ -328,12 +383,14 @@ def lp_norm(f, p: float, rule: DiskRule) -> float:
     Radius by radius, the weight times the mean of |f|^p over the circle."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
+    M = rule.angular_count
     total = 0.0
     with np.errstate(over="ignore"):
-        for lo, mods in _circle_blocks(f, rule.radial_nodes, rule.angular_count):
+        for lo, mods, mult in _circle_blocks(f, rule.radial_nodes, M):
             # |f|^p in place: once yielded, the block is this loop's alone
             mods **= p
-            for term in rule.radial_weights[lo:lo + len(mods)] * np.mean(mods, axis=1):
+            means = _circle_sums(mods, mult) / M
+            for term in rule.radial_weights[lo:lo + len(mods)] * means:
                 total += term
             # the block goes before the sampler builds the next one
             del mods
@@ -356,68 +413,77 @@ def _weak_candidates(f, inv_q: float, rule: DiskRule):
 
     Returns (base, cand, above, top): bin base + i can hold the sup where
     cand[i], and above[i] is the weight of the bins above it that cannot.
-    top = (theta, a, r) holds exactly the samples a >= theta, in rule order,
-    r their radius indices: every sample while they fit in the buffer, and
-    after it overflows, the ``_WEAK_KEEP_CIRCLES`` circles' worth of largest
-    ones and those read since. None for a field that is zero on every sample.
+    top = (theta, a, w) holds exactly the samples a >= theta, in the order
+    the sampler yields them, w their rule weights: every sample while they
+    fit in the buffer, and after it overflows, the ``_WEAK_KEEP_CIRCLES``
+    circles' worth of largest ones and those read since. None for a field
+    that is zero on every sample.
     """
     M = rule.angular_count
-    rows = max(1, _WEAK_PIECE // M)
-    cap = _WEAK_KEEP_CIRCLES * M
+    cap = int(_WEAK_KEEP_CIRCLES * M)
     slack = 1.0 - _WEAK_SLACK
     total = rule.total_weight ** inv_q
     # hist[i] is the weight of bin base + i; the bins below base are dropped
     base, hist, best = 0, np.zeros(0), 0.0
-    # the kept samples, top[:count], are exactly those >= theta, in rule order
+    # the kept samples, top[:count], are exactly those >= theta, in sampler order
     theta, count = 0.0, 0
-    top, top_r = np.empty(cap + cap // 2), np.empty(cap + cap // 2, dtype=np.int32)
-    for r0, a in _circle_blocks(f, rule.radial_nodes, M):
+    top, top_w = np.empty(cap + cap // 2), np.empty(cap + cap // 2)
+    for r0, a, mult in _circle_blocks(f, rule.radial_nodes, M):
+        width = a.shape[1]
         w = rule.radial_weights[r0:r0 + len(a)] / M
+        peaks = a.max(axis=1)
         # each circle's largest sample, alone, is a lower bound too
-        best = max(best, float(np.max(a.max(axis=1) * w ** inv_q)))
-        floor = max(base, _bin_of(best * slack / total))
-        top_bin = max(base + hist.size, _bin_of(a.max()) + 1)
-        # slot 0 collects the samples below the floor
-        grown = np.zeros(top_bin - floor + 1)
-        kept = hist[floor - base:]
-        grown[1:1 + kept.size] = kept
-        for lo in range(0, len(a), rows):
-            piece = a[lo:lo + rows].ravel()
-            bins = piece.view(np.int64) >> _BIN_SHIFT
-            bins -= floor - 1
-            np.maximum(bins, 0, out=bins)
-            grown += np.bincount(bins, np.repeat(w[lo:lo + rows], M),
-                                 minlength=grown.size)
-            over = piece >= theta
+        best = max(best, float(np.max(peaks * w ** inv_q)))
+        peak = float(peaks.max())
+        if peak >= theta:
+            over = a >= theta
             n = np.count_nonzero(over)
             if count + n > top.size:
-                theta, count = _trim(top, top_r, count, piece[over], cap)
-                over = piece >= theta
+                theta, count = _trim(top, top_w, count, a[over], cap)
+                over = a >= theta
                 n = np.count_nonzero(over)
             if n:
                 hit = np.flatnonzero(over)
-                top[count:count + n] = piece[hit]
-                top_r[count:count + n] = r0 + lo + hit // M
+                top[count:count + n] = a.ravel()[hit]
+                top_w[count:count + n] = _weights_of(w, mult, width, hit)
                 count += n
+            del over
+        floor = max(base, _bin_of(best * slack / total))
+        # float-bit bins in the block's own memory; slot 0 collects the
+        # samples below the floor
+        bins = a.reshape(-1).view(np.int64)
+        bins >>= _BIN_SHIFT
+        bins -= floor - 1
+        np.maximum(bins, 0, out=bins)
+        grown = np.bincount(bins, np.repeat(w, width) if mult is None else
+                            np.multiply.outer(w, mult).ravel(),
+                            minlength=max(base + hist.size, _bin_of(peak) + 1) - floor + 1)
+        kept = hist[floor - base:]
+        grown[1:1 + kept.size] += kept
         # the block goes before the sampler builds the next one
-        del a, piece
+        del a, bins
         base, hist = floor, grown[1:]
-        S = np.cumsum(hist[::-1])[::-1]
-        L = _bin_edges(base + np.arange(hist.size, dtype=np.int64))
-        best = max(best, float(np.max(L * S ** inv_q)))
+        # any bin's L S^(1/q) bounds the sup from below; every 64th raises
+        # the floor here, and all of them are read once, at the end
+        edges = np.arange(0, hist.size, 64)
+        S = np.cumsum(np.add.reduceat(hist, edges)[::-1])[::-1]
+        best = max(best, float(np.max(_bin_edges(base + edges) * S ** inv_q)))
+    S = np.cumsum(hist[::-1])[::-1]
+    L = _bin_edges(base + np.arange(hist.size, dtype=np.int64))
+    best = max(best, float(np.max(L * S ** inv_q)))
     if best == 0.0:
         return None
     U = _bin_edges(base + 1 + np.arange(hist.size, dtype=np.int64))
     cand = U * S ** inv_q >= best * slack
     above = np.cumsum(np.where(cand, 0.0, hist)[::-1])[::-1]
-    return base, cand, np.append(above[1:], 0.0), (theta, top[:count], top_r[:count])
+    return base, cand, np.append(above[1:], 0.0), (theta, top[:count], top_w[:count])
 
 
-def _trim(top: np.ndarray, top_r: np.ndarray, count: int, new: np.ndarray,
+def _trim(top: np.ndarray, top_w: np.ndarray, count: int, new: np.ndarray,
           cap: int) -> tuple[float, int]:
     """Raise the threshold to the cap-th largest of top[:count] and new, or
     to the next double where its ties would keep more than cap, and keep in
-    top, top_r only the samples at or above it. Returns (theta, count); new
+    top, top_w only the samples at or above it. Returns (theta, count); new
     is reordered."""
     v = np.concatenate((top[:count], new)) if count else new
     v.partition(v.size - cap)
@@ -427,7 +493,7 @@ def _trim(top: np.ndarray, top_r: np.ndarray, count: int, new: np.ndarray,
     del v
     keep = top[:count] >= theta
     kept = np.count_nonzero(keep)
-    top[:kept], top_r[:kept] = top[:count][keep], top_r[:count][keep]
+    top[:kept], top_w[:kept] = top[:count][keep], top_w[:count][keep]
     return theta, kept
 
 
@@ -448,26 +514,28 @@ def weak_norm(f, q: float, rule: DiskRule) -> float:
     With the samples a sorted in decreasing order and W_k the rule weight of
     {a >= a_(k)}, the sup is max_k a_(k) W_k^(1/q). At most two passes over
     the field find it in bounded memory, without sorting the field. Pass 1
-    builds a weighted histogram of |f| on float-bit bins (4096 per octave);
-    S_j, the weight at or above bin j's lower edge L_j, gives the lower bound
-    best = max_j L_j S_j^(1/q). The sup is taken at a sample a with
-    a W^(1/q) >= best and W <= the total weight, so the bins below
-    best / total^(1/q) are dropped as the bound rises. A bin with upper edge
-    U_j can hold the sup only if U_j S_j^(1/q) >= best. The samples of those
-    candidate bins are sorted, one per distinct value, and each gets the
-    weight of the other bins above it. Pass 1 also keeps its largest samples,
-    every one >= theta, in a buffer of 1.5 x ``_WEAK_KEEP_CIRCLES`` circles'
-    worth. Where the lowest candidate bin starts at or above theta (a field
-    whose sup sits on a small set, such as most box responses at small t), the
-    candidates are taken from the buffer, in the order pass 2 would read them,
-    and the field is sampled once; otherwise pass 2 samples it again.
+    builds a weighted histogram of |f| on float-bit bins (4096 per octave),
+    one sampler block at a time; a half-circle column carries the weight of
+    its mirror image too. S_j, the weight at or above bin j's lower edge L_j,
+    gives the lower bound best = max_j L_j S_j^(1/q). The sup is taken at a
+    sample a with a W^(1/q) >= best and W <= the total weight, so the bins
+    below best / total^(1/q) are dropped as the bound rises. A bin with upper
+    edge U_j can hold the sup only if U_j S_j^(1/q) >= best. The samples of
+    those candidate bins are sorted, one per distinct value, and each gets the
+    weight of the other bins above it. Pass 1 also keeps its largest samples
+    with their weights, every one >= theta, in a buffer of 1.5 x
+    ``_WEAK_KEEP_CIRCLES`` M entries. Where the lowest candidate bin starts at
+    or above theta (a field whose sup sits on a small set, such as most box
+    responses at small t), the candidates are taken from the buffer, in the
+    order pass 2 would read them, and the field is sampled once; otherwise
+    pass 2 samples it again.
     """
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     found = _weak_candidates(f, 1.0 / q, rule)
     if found is None:
         return 0.0
-    base, cand, above, (theta, top, top_r) = found
+    base, cand, above, (theta, top, top_w) = found
     M = rule.angular_count
     lowest = _bin_edges(np.int64(base + np.argmax(cand)))
     # cand[j] for the bin offsets j clipped to [-1, cand.size): -1, the bins
@@ -475,22 +543,25 @@ def weak_norm(f, q: float, rule: DiskRule) -> float:
     in_cand = np.append(cand, False)
     parts = []
 
-    def candidates(a: np.ndarray, radius: Callable[[np.ndarray], np.ndarray]):
+    def candidates(a: np.ndarray, weights: Callable[[np.ndarray], np.ndarray]):
         j = a.view(np.int64) >> _BIN_SHIFT
         j -= base
         np.clip(j, -1, cand.size - 1, out=j)
         keep = np.flatnonzero(in_cand[j])
         if keep.size:
-            parts.append(_distinct(a[keep], rule.radial_weights[radius(keep)] / M, j[keep]))
+            parts.append(_distinct(a[keep], weights(keep), j[keep]))
 
     if lowest >= theta:
         # every sample pass 2 would keep is among the kept ones
-        candidates(top, lambda k: top_r[k])
+        candidates(top, top_w.__getitem__)
     else:
-        rows = max(1, _WEAK_PIECE // M)
-        for lo, mods in _circle_blocks(f, rule.radial_nodes, M):
+        for lo, mods, mult in _circle_blocks(f, rule.radial_nodes, M):
+            width = mods.shape[1]
+            rows = max(1, _WEAK_PIECE // width)
             for i in range(0, len(mods), rows):
-                candidates(mods[i:i + rows].ravel(), lambda k: lo + i + k // M)
+                w = rule.radial_weights[lo + i:lo + i + rows] / M
+                candidates(mods[i:i + rows].ravel(),
+                           lambda k: _weights_of(w, mult, width, k))
             del mods
     a, W, j = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(-a, kind="stable")
@@ -508,9 +579,10 @@ def bloch_seminorm(f: SampledFunction, radial_depth: int = 30,
         raise ValueError("bloch_seminorm needs a derivative callback")
     radii = 1.0 - 2.0 ** (-np.arange(radial_depth + 1, dtype=float))
     best = 0.0
-    for lo, mods in _circle_blocks(f.derivative, radii, angular_count):
+    # a half circle holds the sup of the whole one: the multiplicities do not matter
+    for lo, mods, _ in _circle_blocks(f.derivative, radii, angular_count):
         rho = radii[lo:lo + len(mods)]
         best = max(best, float(np.max((1.0 - rho * rho) * mods.max(axis=1))))
         del mods
-    _, center = next(_circle_blocks(f.evaluate, np.zeros(1), 1))
+    _, center, _ = next(_circle_blocks(f.evaluate, np.zeros(1), 1))
     return float(center[0, 0]) + best

@@ -423,14 +423,16 @@ def cz_constants(mu: RadialMeasure) -> Union[CzConstants, CzNotApplicable]:
     c = 2: needs Cr = integral (1-r)^-1 d nu and C2 = sup nu([1-t,1])/t; order 1
         with size = Cr + C2, smooth = Cr + 5 C2.
     """
-    c = critical_index(mu).c
+    ci = critical_index(mu)
+    c = ci.c
     if c <= 1.0:
         m = total_mass(mu)
         return CzConstants(2.0, 2.0 * m, 6.0 * m, "c=1")
-    if c < 2.0 - 1e-12:
-        carl = carleson_constant(mu, 2.0 - 2.0 / c)
+    # s0 picks the branch and is the exponent (see classify.standard_estimate)
+    if ci.s0 < 1.0:
+        carl = carleson_constant(mu, ci.s0)
         if not carl.is_finite:
-            return CzNotApplicable(f"Carleson constant at exponent {2.0 - 2.0 / c:.6g} diverges")
+            return CzNotApplicable(f"Carleson constant at exponent {ci.s0:.6g} diverges")
         C = carl.value
         size = C * c * 2.0 ** (2.0 / c - 1.0) / (2.0 - c)
         smooth = C * c * 2.0 ** (2.0 / c) * (1.0 / (2.0 * (2.0 - c)) + 1.0)

@@ -190,6 +190,13 @@ class TestVerify:
         assert [b["name"] for b in bounds] == ["forelli-rudin-lower", "forelli-rudin-upper"]
         assert all(b["passed"] and b["worst_margin"] >= 0.0 for b in bounds)
 
+    def test_cz_pointwise_runs_where_the_carleson_constant_is_finite(self, capsys):
+        # on nu_1.51 the exponent 2 - 2/c once landed an ulp above s0, and
+        # verify left the check out without saying so
+        assert main(["verify", "--measure", "nu_alpha:1.51", "--suite", "kernel"]) == EXIT_OK
+        checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["cz-pointwise"]["passed"] is True
+
     def test_lebesgue_multiplier_suite(self, capsys):
         assert main(["verify", "--measure", "lebesgue", "--suite", "multiplier"]) == EXIT_OK
 

@@ -122,10 +122,11 @@ class TestLpNorm:
             lp_norm(SampledFunction.constant(1.0), 0.5, rule)
 
     def test_one_block_alive(self):
-        # 252 radii x 65536 angles in 32 sampler blocks of 4 MiB. Each block is
-        # raised to the p-th power in place and dropped before the sampler builds
-        # the next: the peak is 9.3 MB (tracemalloc), against 12.5 MB with a
-        # |f|^p copy and 13.5 MB with a second block alive as well
+        # 252 radii x 65536 angles in 17 sampler blocks of 15 half circles
+        # (3.9 MB). Each block is raised to the p-th power in place and dropped
+        # before the sampler builds the next: the peak is 9.1 MB (tracemalloc),
+        # against 12.0 MB with a |f|^p copy and 13.0 MB with a second block
+        # alive as well
         t = 2.0 ** -10
         tf = indicator_response(RadialMeasure.power(1.0, -0.5), t)
         rule = _series_rule(tf.degree, t, q=3.0)
@@ -189,12 +190,23 @@ class TestWeakNorm:
         assert wk == pytest.approx(40531.95027136617, rel=1e-12)
 
 
+def whole_circles(f, radii: np.ndarray, M: int):
+    """Yield (lo, mods) with |f| on all M angles of each circle, in rule
+    order: a half circle of the sampler is mirrored into the lower half."""
+    for lo, mods, mult in _circle_blocks(f, radii, M):
+        if mult is not None:
+            lower = mods[:, (M - 1) // 2:0:-1]
+            mods = np.concatenate((mods, lower), axis=1)
+        assert mods.shape[1] == M
+        yield lo, mods
+
+
 def full_sort_weak_norm(f, q: float, rule: DiskRule) -> float:
     """max_k a_(k) W_k^(1/q) over every sample of the rule, by one full sort;
     the cumulative weights are summed in extended precision."""
     M = rule.angular_count
     a, w = np.empty(rule.node_count()), np.empty(rule.node_count())
-    for lo, mods in _circle_blocks(f, rule.radial_nodes, M):
+    for lo, mods in whole_circles(f, rule.radial_nodes, M):
         rows = slice(lo * M, (lo + len(mods)) * M)
         a[rows] = mods.ravel()
         w[rows] = np.repeat(rule.radial_weights[lo:lo + len(mods)] / M, M)
@@ -265,19 +277,21 @@ class TestWeakNormExact:
             weak_norm(f, 4.0 / 3.0, rule)
             assert len(calls) <= 2
 
-    @pytest.mark.parametrize("j", [8, 9])
+    @pytest.mark.parametrize("j", [6, 8, 9])
     def test_samples_a_peaked_field_once(self, monkeypatch, j):
-        # the box response's candidate samples (2.7 and 1.6 circles' worth)
-        # all sit among the largest ones pass 1 keeps
+        # the box response's candidate samples (6.2, 2.7 and 1.6 circles'
+        # worth) all sit among the largest ones pass 1 keeps: its buffer of
+        # 4M entries holds 8 half circles
         t = 2.0 ** -j
         tf = indicator_response(RadialMeasure.power(1.0, -0.5), t)
         rule = _series_rule(tf.degree, t)
         calls = count_samplings(monkeypatch)
         one_pass = weak_norm(tf, 4.0 / 3.0, rule)
         assert len(calls) == 1
-        # a buffer of one circle's worth cannot hold them: pass 2 runs, on
-        # the same candidates in the same order
-        monkeypatch.setattr(diskquad, "_WEAK_KEEP_CIRCLES", 1)
+        # a buffer of M / 2 entries, one circle's worth of half circles,
+        # cannot hold them: pass 2 runs, on the same candidates in the same
+        # order
+        monkeypatch.setattr(diskquad, "_WEAK_KEEP_CIRCLES", 0.5)
         calls.clear()
         assert weak_norm(tf, 4.0 / 3.0, rule) == one_pass
         assert len(calls) == 2
@@ -362,9 +376,29 @@ class TestBloch:
             bloch_seminorm(SampledFunction(lambda z: z))
 
 
+def all_power_circles(tf: TaylorFunction, radii: np.ndarray, M: int) -> np.ndarray:
+    """|f| of a real polynomial on the upper half circles of radii > 0, by the
+    sampler's arithmetic with every power rho^k taken, also where it
+    underflows to 0.0."""
+    c = tf.coefficients.real
+    J = -(-c.size // M)
+    C = np.zeros(J * M)
+    C[:c.size] = c
+    C = C.reshape(J, M)
+    out = np.empty((radii.size, M // 2 + 1))
+    with np.errstate(under="ignore"):
+        for i, rho in enumerate(radii):
+            log_rho = math.log(rho)
+            bins = np.exp(M * np.arange(J, dtype=float) * log_rho) @ C
+            bins *= np.exp(np.arange(M, dtype=float) * log_rho)
+            out[i] = np.abs(np.fft.rfft(bins))
+    return out
+
+
 class TestPolynomialSampler:
-    """A TaylorFunction is sampled by FFT (rfft for real coefficients); any
-    other callable at the nodes. The sampler yields |f|."""
+    """A TaylorFunction is sampled by FFT (rfft of the closed upper half
+    circle for real coefficients); any other callable at the nodes. The
+    sampler yields |f|."""
 
     @staticmethod
     def assert_matches_node_evaluation(poly, M):
@@ -372,7 +406,7 @@ class TestPolynomialSampler:
         plain = poly.__call__  # a bound method is not a TaylorFunction
         # the sampled |f| itself, circle by circle
         rho = rule.radial_nodes
-        fft = np.concatenate([a for _, a in _circle_blocks(poly, rho, M)])
+        fft = np.concatenate([a for _, a in whole_circles(poly, rho, M)])
         nodes = np.abs(plain(rho[:, None] * np.exp(2j * np.pi * np.arange(M) / M)[None, :]))
         assert np.all(np.abs(fft - nodes).max(axis=1) <= 1e-13 * nodes.max(axis=1))
         for p in (1.0, 2.0, 4.0):
@@ -393,14 +427,58 @@ class TestPolynomialSampler:
         self.assert_matches_node_evaluation(
             TaylorFunction.from_array(0.97 ** n * np.exp(1j * n)), 16)
 
-    @pytest.mark.parametrize("M", [16, 15])
-    @pytest.mark.parametrize("size", [10, 15, 16, 101])
+    @pytest.mark.parametrize("M", [16, 15, 1, 2, 1024])
+    @pytest.mark.parametrize("size", [1, 10, 15, 16, 101, 2049])
     def test_real_branch_matches_node_evaluation(self, M, size):
-        # size below, at and far above the angle count (the fold wraps);
-        # even and odd M differ in the rfft's Nyquist bin
+        # the upper half circle, mirrored, against the whole circle: sizes
+        # below, at and far above the angle count (the fold wraps); even and
+        # odd M differ in the rfft's Nyquist bin, and M = 1 and 2 have no
+        # interior column
         n = np.arange(size)
         self.assert_matches_node_evaluation(
             TaylorFunction.from_array(0.97 ** n * np.cos(n) + 0.25), M)
+
+    @pytest.mark.parametrize("M", [1, 2, 15, 16, 1024])
+    def test_column_multiplicities(self, M):
+        # column j holds the angles k = j and k = M - j (mod M): one at angle
+        # 0 and at the Nyquist angle pi of an even M, two elsewhere
+        rho = np.array([0.0, 0.5])
+        (_, mods, mult), = _circle_blocks(TaylorFunction.from_array([1.0, 0.5]), rho, M)
+        k = np.arange(M)
+        expect = [np.count_nonzero((k == j) | (k == (M - j) % M)) for j in range(M // 2 + 1)]
+        assert mods.shape == (2, M // 2 + 1) and np.array_equal(mult, expect)
+        for f in (TaylorFunction.from_array([1.0, 0.5j]), SampledFunction.constant(1.0)):
+            (_, mods, mult), = _circle_blocks(f, rho, M)
+            assert mods.shape == (2, M) and mult is None
+
+    @pytest.mark.parametrize("j", [3, 7, 10])
+    def test_underflow_cutoff_is_bit_identical(self, j):
+        # the powers rho^k with k log rho < -746 are 0.0 whether taken or not
+        t = 2.0 ** -j
+        tf = indicator_response(RadialMeasure.power(1.0, -0.5), t)
+        rule = _series_rule(tf.degree, t)
+        rho, M = rule.radial_nodes, rule.angular_count
+        got = np.concatenate([a for _, a, _ in _circle_blocks(tf, rho, M)])
+        assert np.array_equal(got, all_power_circles(tf, rho, M))
+
+    @pytest.mark.parametrize("M", [15, 16, 1024])
+    def test_underflow_cutoff_on_small_radii(self, M):
+        # radii down to 1e-30, where all but the first powers underflow
+        n = np.arange(3 * M + 1)
+        poly = TaylorFunction.from_array(0.97 ** n * np.cos(n) + 0.25)
+        rho = np.concatenate((10.0 ** -np.arange(30.0, 0.0, -1.0),
+                              DiskRule.make(20, 8, M).radial_nodes))
+        got = np.concatenate([a for _, a, _ in _circle_blocks(poly, rho, M)])
+        assert np.array_equal(got, all_power_circles(poly, rho, M))
+
+    @pytest.mark.parametrize("rule_args", [(8, 6, 64), (8, 6, 63), (12, 8, 1024),
+                                           (30, 10, 256), (30, 10, 8192)])
+    def test_real_constant_norm(self, rule_args):
+        # the half-circle sums are numpy's pairwise sums; a BLAS dot of the
+        # columns with their multiplicities was off by up to 8.5e-15
+        rule = DiskRule.make(*rule_args)
+        for p in (1.0, 3.0):
+            assert abs(lp_norm(TaylorFunction.from_array([0.7]), p, rule) - 0.7) <= 1e-15
 
     def test_overflow_raises_with_node(self):
         rule = DiskRule.make(radial_depth=8, order=4, angular_count=4)

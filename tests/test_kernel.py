@@ -570,6 +570,13 @@ class TestCzConstants:
         assert pred.size == pytest.approx(2.0 + 2.0 / 3.0)
         assert pred.smooth == pytest.approx(2.0 + 10.0 / 3.0)
 
+    @pytest.mark.parametrize("alpha", [1.51, 1.52, 1.73, 1.8, 1.95])
+    def test_carleson_exponent_is_s0(self, alpha):
+        # 2 - 2/c recomputed from c lands an ulp above s0 = 2 - alpha here
+        pred = cz_constants(RadialMeasure.nu_alpha(alpha))
+        assert isinstance(pred, CzConstants) and pred.case == "1<c<2"
+        assert pred.order == pytest.approx(2.0 - (2.0 - alpha), rel=1e-15)
+
     def test_lebesgue_not_applicable(self, cat):
         pred = cz_constants(cat["lebesgue"])
         assert isinstance(pred, CzNotApplicable)
