@@ -862,7 +862,14 @@ def critical_index(mu: RadialMeasure) -> CriticalIndex:
     component gives s0 = min(beta+1, 1); the nu_alpha family gives s0 = 2-alpha;
     mixtures take the smallest component s0 (equivalently the smallest c). A
     tabulated component switches to bisection on s with tolerance 1e-3.
+
+    A power component with -2^-53 < beta < 0 raises ValueError: its
+    s0 = beta + 1 < 1 rounds to 1, which would read as beta = 0 (c = 2).
     """
+    for d in mu.densities:
+        if isinstance(d, PowerDensity) and d.beta < 0.0 and d.beta + 1.0 == 1.0:
+            raise ValueError(f"power beta = {d.beta!r} is in (-2^-53, 0): s0 = beta + 1 "
+                             "rounds to 1, and the critical index cannot be told from 2")
     interval = None
     if any(a.x == 1.0 for a in mu.atoms):
         s0 = 0.0

@@ -1,10 +1,13 @@
 """Region verdicts, the standard-estimate trichotomy, grid geometry."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shimorin_lab.classify import (
@@ -18,6 +21,7 @@ from shimorin_lab.classify import (
     region_verdict,
     standard_estimate,
 )
+from shimorin_lab.cli import EXIT_CONFIG, main
 from shimorin_lab.measure import RadialMeasure
 
 
@@ -118,15 +122,31 @@ class TestStandardEstimate:
             assert est.branch == "carleson" and est.holds, (family, x)
             assert est.witness.is_finite, (family, x)
 
-    # beta up to -2^-53: above it, s0 = beta + 1 rounds to 1 and the measure
-    # reads as beta = 0 (c = 2, hyperbolic branch, divergent)
+    # above beta = -2^-53, s0 = beta + 1 rounds to 1 and the measure would read
+    # as beta = 0 (c = 2, hyperbolic branch, divergent): there the critical
+    # index fails loudly, and classify exits 2 with one error line
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
-           st.floats(-1.0, -2.0 ** -53, exclude_min=True))
+           st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True))
+    @example(1.5, -2.0 ** -53)
+    @example(1.5, -2.0 ** -54)
+    @example(1.5, -5e-324)
     def test_estimate_holds_on_every_parameter(self, alpha, beta):
-        for mu in (RadialMeasure.nu_alpha(alpha), RadialMeasure.power(1.0, beta)):
-            est = standard_estimate(mu)
+        est = standard_estimate(RadialMeasure.nu_alpha(alpha))
+        assert est.holds and est.witness.is_finite
+        power = RadialMeasure.power(1.0, beta)
+        if beta + 1.0 < 1.0:
+            est = standard_estimate(power)
             assert est.holds and est.witness.is_finite
+            return
+        with pytest.raises(ValueError, match="2\\^-53"):
+            standard_estimate(power)
+        spec = json.dumps({"densities": [{"kind": "power", "kappa": 1.0, "beta": beta}]})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", "--measure", spec, "--p", "1", "--q", "2"])
+        assert code == EXIT_CONFIG and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 class TestRegionGrid:
