@@ -89,5 +89,8 @@ EVEN_NORM_BUDGET = 1e-13
 # refined rule (radial depth + 4, Gauss order 16, the same angles) it reached
 # at most 1.65e-3 on the indicator responses of Lebesgue, power beta = +-0.5
 # and nu_1.5 at t = 2^-4 .. 2^-8 and q in {4/3, 2, 3}. Sizing the radial depth
-# to the degree moved those values by at most 1.1e-8 against depth 30.
+# to the degree moved those values by at most 1.1e-8 against depth 30. Against
+# the same rule with twice the angles it moved by at most 8.4e-4 at q = 4/3
+# (power beta = -0.5 at t = 2^-6; at most 1.7e-4 on Lebesgue measure) and
+# 1.95e-3 at q in {2, 3}, at t = 2^-4 .. 2^-6.
 WEAK_NORM_BUDGET = 2.5e-3

@@ -254,8 +254,8 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
     column but 0 and (for even M) M / 2 also holds its mirror image. Complex
     coefficients and callables yield all M angles, with mult None.
     """
-    phase = _circle(M)
     if not isinstance(f, TaylorFunction):
+        phase = _circle(M)
         rows = max(1, _CALL_CHUNK // M)
         for lo in range(0, radii.size, rows):
             nodes = radii[lo:lo + rows, None] * phase[None, :]
@@ -312,7 +312,7 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
                     mods[i] = np.abs(np.fft.ifft(bins) * M)
         if not np.isfinite(mods).all():
             k, j = np.unravel_index(np.argmax(~np.isfinite(mods)), mods.shape)
-            raise NonFiniteSampleError(complex(block[k] * phase[j]))
+            raise NonFiniteSampleError(complex(block[k] * _circle(M)[j]))
         yield lo, mods, mult
         # a caller that dropped the block frees it before the next is built
         del mods

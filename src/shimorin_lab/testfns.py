@@ -34,6 +34,7 @@ the families, for the degree and the exponent.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -454,11 +455,87 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     return RatioResult(param, f_norm, val)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _two_ended(experiment, params: list[float]) -> list[RatioResult]:
+    """``experiment`` on every param, in sweep order: computed by the calling
+    thread from the smallest param up and by one helper thread from the
+    largest down.
+
+    Raises the error of the earliest failing param in sweep order, as a serial
+    loop would; a failure cancels only the params after it. The helper is
+    joined before this returns or raises.
+    """
+    import threading
+    from collections import deque
+
+    pending = deque(sorted(range(len(params)), key=params.__getitem__))
+    results: list = [None] * len(params)
+    errors: dict[int, Exception] = {}
+    lock = threading.Lock()
+
+    def work(take):
+        while True:
+            try:
+                i = take()
+            except IndexError:  # the other end took the last one
+                return
+            with lock:
+                if errors and i > min(errors):
+                    continue
+            try:
+                results[i] = experiment(params[i])
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+
+    helper = threading.Thread(target=work, args=(pending.pop,),
+                              name="ratio_sweep-helper")
+    helper.start()
+    try:
+        work(pending.popleft)
+    finally:
+        pending.clear()  # after an interrupt the helper ends with its scale
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def ratio_sweep(mu: RadialMeasure, p: float, q: float, family: str,
                 t_values: Iterable[float], **kwargs
                 ) -> tuple[list[RatioResult], str]:
-    """Ratio experiment over a dyadic t-sweep plus the unified growth verdict."""
-    results = [ratio_experiment(mu, p, q, family, t, **kwargs) for t in t_values]
+    """Ratio experiment over a dyadic t-sweep plus the unified growth verdict.
+
+    The scales are independent, and the cost of one about doubles per octave
+    of t. When the process may use two CPUs (its affinity mask, else
+    ``os.cpu_count()``) and the sweep has two scales or more, the calling
+    thread computes them from the smallest t up and one helper thread from
+    the largest t down, until they meet; otherwise the calling thread runs
+    them in sweep order. There is never more than one helper, so at most two
+    scales are alive at once. Every scale runs the same ``ratio_experiment``,
+    so the results, returned in sweep order, are the same bits either way.
+    On failure the error of the earliest failing scale in sweep order is
+    raised, as the serial loop would raise it, and no thread outlives the
+    call. An empty sweep is a ValueError.
+    """
+    params = list(t_values)
+    if not params:
+        raise ValueError("the sweep has no scale t")
+
+    def experiment(t):
+        return ratio_experiment(mu, p, q, family, t, **kwargs)
+
+    if len(params) >= 2 and _usable_cpus() >= 2:
+        results = _two_ended(experiment, params)
+    else:
+        results = [experiment(t) for t in params]
     return results, sweep_verdict([r.ratio for r in results])
 
 

@@ -324,6 +324,13 @@ class TestFrontDoor:
             assert code == EXIT_CONFIG and out == ""
             assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_empty_sweep_exits_2(self):
+        # j-start after j-stop used to print the bare CSV header and exit 0
+        code, out, err = run_cli("ratio-scan", "--measure", "lebesgue", "--p", "4/3",
+                                 "--q", "4", "--j-start", "5", "--j-stop", "4")
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_oversized_region_exits_2(self):
         # rejected before any cell is computed; it used to run without end
         code, out, err = run_cli("region", "--c", "1.5", "--resolution", "100000000")

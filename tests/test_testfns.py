@@ -1,6 +1,9 @@
 """Boundary boxes, test-function families, real-part bounds, ratio sweeps."""
 
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from route_oracles import direct_response
 from shimorin_lab import constants as cns
 from shimorin_lab import diskquad
+from shimorin_lab import testfns
 from shimorin_lab.diskquad import DiskRule, lp_norm, weak_norm
 from shimorin_lab.measure import RadialMeasure, critical_index
 from shimorin_lab.multiplier import moment_prefix
@@ -16,6 +20,7 @@ from shimorin_lab.testfns import (
     C_ZERO,
     C_ZERO_TILDE,
     _N_TERMS,
+    RatioResult,
     _parseval_area,
     _series_rule,
     _strong_norm,
@@ -277,6 +282,92 @@ class TestRatioExperiments:
         assert v2 == "plateaued"
 
 
+def _cpus(monkeypatch, count: int) -> None:
+    """Make the process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+_SWEEP = [2.0 ** (-j) for j in range(3, 7)]
+
+
+class TestTwoEndedSweep:
+    @pytest.mark.parametrize("name, p, q, family, ts, weak", [
+        ("lebesgue", 4.0 / 3.0, 4.0, "indicator", _SWEEP, False),
+        ("power_-0.5", 1.0, 4.0 / 3.0, "indicator", _SWEEP, True),
+        ("power_-0.5", 4.0, math.inf, "indicator", _SWEEP, False),
+        ("power_0.5", 2.0, 3.0, "power", _SWEEP, False),
+        ("power_-0.5", 2.0, 2.0, "block", _SWEEP, False),
+        ("delta1", 2.0, 2.0, "aligned", _SWEEP[:3], False),
+    ])
+    def test_results_are_the_serial_loop(self, cat, monkeypatch, name, p, q, family,
+                                         ts, weak):
+        _cpus(monkeypatch, 2)
+        mu = cat[name]
+        serial = [ratio_experiment(mu, p, q, family, t, weak=weak) for t in ts]
+        got, verdict = ratio_sweep(mu, p, q, family, ts, weak=weak)
+        assert [repr(r) for r in got] == [repr(r) for r in serial]
+        assert verdict == sweep_verdict([r.ratio for r in serial])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("slow", ["earliest", "last"])
+    def test_earliest_failure_is_raised(self, monkeypatch, cpus, slow):
+        # on two CPUs the helper takes ts[0] and then ts[1], the caller ts[-1]
+        # first (one CPU runs them in sweep order).
+        # slow="earliest": ts[1] fails after the caller's ts[-1] has failed;
+        # slow="last": ts[1] fails while ts[-1] still runs, which cancels
+        # ts[2..4], the scales after it
+        _cpus(monkeypatch, cpus)
+        ts = [2.0 ** (-j) for j in range(3, 9)]
+        done = []
+
+        def experiment(mu, p, q, family, t, **kwargs):
+            if t == ts[1]:
+                time.sleep(0.2 if slow == "earliest" else 0.0)
+                raise OverflowError(f"scale {t}")
+            if t == ts[-1]:
+                if slow == "earliest":
+                    raise OverflowError(f"scale {t}")
+                time.sleep(0.2)
+            done.append(t)
+            return RatioResult(t, 1.0, 1.0)
+
+        monkeypatch.setattr(testfns, "ratio_experiment", experiment)
+        before = threading.active_count()
+        with pytest.raises(OverflowError, match=f"scale {ts[1]}$"):
+            ratio_sweep(None, 1.0, 1.0, "indicator", ts)
+        assert threading.active_count() == before
+        assert ts[0] in done
+        if slow == "last":
+            assert not set(ts[2:5]) & set(done)
+
+    def test_helper_only_with_two_cpus(self, monkeypatch):
+        threads = []
+
+        def experiment(mu, p, q, family, t, **kwargs):
+            threads.append(threading.current_thread())
+            time.sleep(0.02)  # long enough for the helper to take a scale
+            return RatioResult(t, 1.0, 1.0)
+
+        monkeypatch.setattr(testfns, "ratio_experiment", experiment)
+        ts = [2.0 ** (-j) for j in range(3, 9)]
+        before = threading.active_count()
+        _cpus(monkeypatch, 1)
+        results, _ = ratio_sweep(None, 1.0, 1.0, "indicator", ts)
+        assert set(threads) == {threading.current_thread()}
+        assert [r.param for r in results] == ts
+        threads.clear()
+        _cpus(monkeypatch, 2)
+        results, _ = ratio_sweep(None, 1.0, 1.0, "indicator", ts)
+        assert len(set(threads)) == 2 and threading.current_thread() in threads
+        assert [r.param for r in results] == ts
+        assert threading.active_count() == before
+
+    def test_empty_sweep_is_an_error(self, cat):
+        with pytest.raises(ValueError, match="no scale"):
+            ratio_sweep(cat["lebesgue"], 4.0 / 3.0, 4.0, "indicator", [])
+
+
 def _mp_area(c, k: int):
     """integral |f|^(2k) dA at 30 digits for the polynomial with coefficients c:
     the M-point circle mean is exact for M > k deg f, and Gauss-Legendre in rho
@@ -404,6 +495,18 @@ class TestSeriesRule:
                               DiskRule.make(30, 12, rule.angular_count)):
                     ref = weak_norm(tf, 4.0 / 3.0, other)
                     assert abs(got - ref) <= cns.WEAK_NORM_BUDGET * ref, (name, t, other.order)
+
+    def test_weak_norm_within_budget_at_twice_the_angles(self, cat):
+        # the angular half of the rule's error: the same rule with 2M angles
+        for name in ("lebesgue", "power_0.5", "power_-0.5", "nu_alpha_1.5"):
+            for j in range(4, 7):
+                t = 2.0 ** -j
+                tf = indicator_response(cat[name], t)
+                rule = _series_rule(tf.degree, t)
+                twice = DiskRule.make(rule.radial_depth, rule.order, 2 * rule.angular_count)
+                for q in (4.0 / 3.0, 2.0, 3.0):
+                    got, ref = weak_norm(tf, q, rule), weak_norm(tf, q, twice)
+                    assert abs(got - ref) <= cns.WEAK_NORM_BUDGET * ref, (name, t, q)
 
 
 class TestSweepVerdict:
