@@ -110,8 +110,11 @@ def region_verdict(c_nu: Exponent, pair: ExponentPair | tuple,
 
     Pairs on the critical segment are never called bounded/unbounded from the
     index alone (the behaviour there is measure-dependent; see
-    standard_estimate), so they come back as critical-* verdicts.
+    standard_estimate), so they come back as critical-* verdicts. ``tol``
+    must be finite and >= 0.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if not isinstance(pair, ExponentPair):
         pair = ExponentPair(*pair)
     inv_c, c_exact = _inverse(c_nu)

@@ -231,6 +231,8 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     mu = parse_measure(args.measure)
     checks = _suite_checks(mu, args.suite, args.seed)
 
@@ -281,10 +283,10 @@ def cmd_kernel_norm(args) -> int:
         norm = kr.kernel_lp_norm(mu, z, args.p)
         if mu.mass_at_one == 0.0 and args.p > 1.0:
             lo, up = kr.pnorm_envelope(mu, z, args.p)
-            rows.append([float(z), float(args.p), norm, lo, up])
+            rows.append([abs(z), float(args.p), norm, lo, up])
         else:
             # envelope hypotheses (no atom at 1, p > 1) fail; emit norm only
-            rows.append([float(z), float(args.p), norm, "", ""])
+            rows.append([abs(z), float(args.p), norm, "", ""])
     _write_csv(["abs_z", "p", "norm", "env_lower", "env_upper"], rows, args.out)
     return EXIT_OK
 

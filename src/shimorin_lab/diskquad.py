@@ -378,11 +378,13 @@ def _finite(value: float, what: str) -> float:
 
 
 def lp_norm(f, p: float, rule: DiskRule) -> float:
-    """(integral |f|^p dA)^(1/p) for p >= 1; OverflowError when |f|^p overflows.
+    """(integral |f|^p dA)^(1/p) for 1 <= p < inf; OverflowError when |f|^p
+    overflows.
 
-    Radius by radius, the weight times the mean of |f|^p over the circle."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    Radius by radius, the weight times the mean of |f|^p over the circle.
+    p = inf (|f|^inf is 0 or inf) and nan are a ValueError."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
     M = rule.angular_count
     total = 0.0
     with np.errstate(over="ignore"):

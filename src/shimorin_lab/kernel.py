@@ -60,6 +60,7 @@ from ._gridquad import (
     jacobi_rule,
     panel_rule,
 )
+from .diskquad import _finite
 from .measure import (
     RadialMeasure,
     critical_index,
@@ -310,12 +311,12 @@ def _graded_polar(s: float) -> _PolarRule:
 
 
 def kernel_lp_norm(mu: RadialMeasure, z, p: float) -> float:
-    """L^p(disk) norm of lam -> K(z, lam), 1 <= p < infinity, on the polar rule
+    """L^p(disk) norm of lam -> K(z, lam), 1 <= p < inf, on the polar rule
     graded toward the singular corner of |z|. Raises OverflowError when the
-    norm is not finite in double precision.
+    norm is not finite in double precision, and ValueError for p = inf or nan.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
     s = float(np.abs(z))
     if s >= 1.0:
         raise ValueError("z must lie in the open disk")
@@ -325,9 +326,7 @@ def kernel_lp_norm(mu: RadialMeasure, z, p: float) -> float:
     with np.errstate(over="ignore"):
         vals = np.abs(_resolvent(mu, w) / (1.0 - w)) ** p
         norm = float(np.vdot(rule.cross(rule.w_rho, rule.w_theta), vals) ** (1.0 / p))
-    if not np.isfinite(norm):
-        raise OverflowError(f"kernel L^{p} norm is not finite in double precision")
-    return norm
+    return _finite(norm, f"kernel L^{p} norm")
 
 
 def pnorm_envelope(mu: RadialMeasure, z, p: float) -> tuple[float, float]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -132,25 +131,12 @@ def _moments(mu: RadialMeasure, n: np.ndarray) -> np.ndarray:
     return vals
 
 
-# Longest prefix index kept by the cache. Longer prefixes (the box responses
-# of small t, ``mn`` at large N) are not asked for twice in a run, and each
-# would hold megabytes.
-_CACHED_PREFIX_MAX = 1 << 16
-
-
-def _prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:
-    return MultiplierSequence(mu, _moments(mu, np.arange(N + 1)))
-
-
-_cached_prefix = lru_cache(maxsize=64)(_prefix)
-
-
 def moment_prefix(mu: RadialMeasure, N: int) -> MultiplierSequence:
-    """m_0..m_N (monotonicity asserted); cached for N <= 2^16."""
+    """m_0..m_N (monotonicity asserted), computed afresh on every call: each
+    caller owns its ``values`` array."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    N = int(N)
-    return _cached_prefix(mu, N) if N <= _CACHED_PREFIX_MAX else _prefix(mu, N)
+    return MultiplierSequence(mu, _moments(mu, np.arange(int(N) + 1)))
 
 
 def moments_at(mu: RadialMeasure, n) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diskquad import DiskRule, TaylorFunction
+from .diskquad import DiskRule, TaylorFunction, integrate
 from .kernel import _cached_rule, _nested_radial, eval_kernel
 from .measure import RadialMeasure
 from .multiplier import moment_prefix
@@ -35,18 +35,14 @@ def apply_multiplier(mu: RadialMeasure, f: TaylorFunction) -> TaylorFunction:
 
 
 def apply_quadrature(mu: RadialMeasure, f, z, rule: DiskRule) -> complex:
-    """Kernel route: quadrature of integral K(z, lam) f(lam) dA(lam).
+    """Kernel route: ``integrate`` of lam -> f(lam) K(z, lam) on ``rule``.
 
-    Declared budget: uniform-angular rules resolve the kernel's angular
-    concentration only for moderate |z| (see the rule's angular count), so
-    route-agreement checks cap |z| at 0.9.
+    A non-finite integrand raises NonFiniteSampleError, as on the sampler
+    routes. Declared budget: uniform-angular rules resolve the kernel's
+    angular concentration only for moderate |z| (see the rule's angular
+    count), so route-agreement checks cap |z| at 0.9.
     """
-    z = complex(z)
-    total = 0.0 + 0.0j
-    for nodes, weights in rule.iter_blocks():
-        vals = np.asarray(f(nodes), dtype=complex)
-        total += np.dot(weights * vals, eval_kernel(mu, np.full(nodes.shape, z), nodes))
-    return complex(total)
+    return integrate(lambda lam: f(lam) * eval_kernel(mu, z, lam), rule)
 
 
 def apply_radial(mu: RadialMeasure, f, z) -> complex:

@@ -46,6 +46,7 @@ from .diskquad import (
     DiskRule,
     SampledFunction,
     TaylorFunction,
+    _finite,
     bloch_seminorm,
     lp_norm,
     weak_norm,
@@ -377,10 +378,7 @@ def _strong_norm(f: TaylorFunction, q: float, rule: DiskRule) -> float:
     if not k:
         return lp_norm(f, q, rule)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = _parseval_area(f, k) ** (1.0 / q)
-    if not math.isfinite(norm):
-        raise OverflowError(f"L^{q} norm is not finite in double precision")
-    return norm
+        return _finite(_parseval_area(f, k) ** (1.0 / q), f"L^{q} norm")
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +428,13 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     T f (the BMO-equivalent target); weak=True uses the weak-L^q quasi-norm.
     Strong norms of a polynomial at an even integer exponent are Parseval
     sums of its power (``_strong_norm``); the other targets are sampled on
-    the polar rule.
+    the polar rule. Before any work, a ValueError unless 1 <= p, q <= inf,
+    and for weak=True at q = inf.
     """
+    if not (p >= 1.0 and q >= 1.0):
+        raise ValueError(f"exponents must satisfy 1 <= p, q <= inf, got p={p}, q={q}")
+    if weak and q == math.inf:
+        raise ValueError("the weak-L^q target needs q < inf")
     param = float(param)
     if family in ("indicator", "aligned"):
         response = indicator_response if family == "indicator" else aligned_response

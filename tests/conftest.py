@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ def random_catalog_measure(rng: np.random.Generator, allow_atom_at_one: bool = T
         else:
             densities.append(NuAlphaDensity(float(rng.uniform(1.05, 1.95))))
     return RadialMeasure(tuple(atoms), tuple(densities))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test after which a thread it started is still alive (1 s join)."""
+    before = set(threading.enumerate())
+    yield
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(1.0)
+    alive = [t.name for t in started if t.is_alive()]
+    assert not alive, f"threads still alive after the test: {alive}"
 
 
 @pytest.fixture(scope="session")

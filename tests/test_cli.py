@@ -102,6 +102,13 @@ class TestEmitters:
         out = capsys.readouterr().out.splitlines()
         assert out[1] == f"0.5,1,{kr.kernel_lp_norm(parse_measure('lebesgue'), 0.5, 1.0):.17g},,"
 
+    def test_kernel_norm_prints_abs_z(self, capsys):
+        # the norm depends on |z| only; the column used to echo a negative z
+        assert main(["kernel-norm", "--measure", "lebesgue", "--z", "-0.5", "--p", "1.5"]) == EXIT_OK
+        negative = capsys.readouterr().out
+        assert main(["kernel-norm", "--measure", "lebesgue", "--z", "0.5", "--p", "1.5"]) == EXIT_OK
+        assert negative == capsys.readouterr().out
+
     def test_region_c2_geometry(self, capsys):
         main(["region", "--c", "2", "--resolution", "8"])
         rows = capsys.readouterr().out.splitlines()[1:]
@@ -305,7 +312,41 @@ _argv = st.one_of(
                    "--z", *map(repr, a[1])]))
 
 
+_RATIO_SCAN = ("ratio-scan", "--measure", "lebesgue", "--j-stop", "4")
+
+# requests that used to exit 0 or 1 with wrong rows, or die with a traceback
+_REJECTED = {
+    # |K|^inf is 0 or inf, so the norm read 1 (the sup is 4)
+    "kernel-norm-p-inf": ("kernel-norm", "--measure", "delta1", "--z", "0.5", "--p", "inf"),
+    "kernel-norm-p-nan": ("kernel-norm", "--measure", "delta1", "--z", "0.5", "--p", "nan"),
+    # f_norm read 1
+    "power-family-p-inf": _RATIO_SCAN + ("--family", "power", "--p", "inf", "--q", "2"),
+    # ZeroDivisionError traceback
+    "indicator-p-0": _RATIO_SCAN + ("--p", "0"),
+    "indicator-p-half": _RATIO_SCAN + ("--p", "0.5"),
+    "indicator-p-negative": _RATIO_SCAN + ("--p", "-2"),
+    "indicator-p-nan": _RATIO_SCAN + ("--p", "nan"),
+    "aligned-p-0": _RATIO_SCAN + ("--family", "aligned", "--p", "0"),
+    # printed the Bloch sweep
+    "weak-q-inf": _RATIO_SCAN + ("--weak", "--q", "inf"),
+    # every seeded check failed, exit 1
+    "verify-negative-seed": ("verify", "--measure", "lebesgue", "--seed", "-1",
+                             "--suite", "kernel"),
+    # an on-line pair called unbounded
+    "classify-tol-nan": ("classify", "--measure", "lebesgue", "--p", "1.3333333333333333",
+                         "--q", "4", "--tol", "nan"),
+    "classify-tol-negative": ("classify", "--measure", "lebesgue", "--p",
+                              "1.3333333333333333", "--q", "4", "--tol", "-1"),
+}
+
+
 class TestFrontDoor:
+    @pytest.mark.parametrize("argv", list(_REJECTED.values()), ids=list(_REJECTED))
+    def test_invalid_request_exits_2(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_memory_error_exits_2_and_writes_nothing(self, tmp_path):
         # 8e11 bytes of indices; the address-space cap makes the allocation
         # fail on any overcommit policy instead of paging

@@ -121,6 +121,12 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(SampledFunction.constant(1.0), 0.5, rule)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_p_inf_and_nan(self, rule, p):
+        # |f|^inf is 0 or inf, so the constant 5 used to read 1.0 at p = inf
+        with pytest.raises(ValueError):
+            lp_norm(SampledFunction.constant(5.0), p, rule)
+
     def test_one_block_alive(self):
         # 252 radii x 65536 angles in 17 sampler blocks of 15 half circles
         # (3.9 MB). Each block is raised to the p-th power in place and dropped

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shimorin_lab import _g17, multiplier
+from shimorin_lab import _g17
 from shimorin_lab.cli import EXIT_OK, main, parse_measure
 from shimorin_lab.multiplier import claim1_envelope, moment_prefix
 
@@ -135,7 +135,6 @@ class TestMnBytes:
                 "--out", str(tmp_path / "mn.csv")]
 
         def peak():
-            multiplier._cached_prefix.cache_clear()
             tracemalloc.start()
             try:
                 assert main(argv) == EXIT_OK

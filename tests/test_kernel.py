@@ -353,6 +353,12 @@ class TestDoubleIntegral:
 
 
 class TestKernelNorm:
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_p_inf_and_nan(self, cat, p):
+        # the sup at z = 0.5 is 4 on delta1; p = inf used to read 1.0
+        with pytest.raises(ValueError):
+            kernel_lp_norm(cat["delta1"], 0.5, p)
+
     def test_center_norm_is_mass(self, cat):
         for name in ("delta0", "lebesgue", "power_0.5"):
             mu = cat[name]

@@ -21,7 +21,6 @@ import pytest
 from scipy.special import digamma, gammaln
 
 from conftest import random_catalog_measure
-from shimorin_lab import multiplier
 from shimorin_lab._gridquad import moment_sum
 from shimorin_lab.measure import (
     Atom,
@@ -253,23 +252,15 @@ class TestMomentPrefix:
             assert np.all(seq.values <= seq.values[0] * (1 + 1e-12))
             assert np.all(seq.values > 0)
 
-    def test_cache_keeps_prefixes_up_to_2_16(self):
-        # a measure no other test asks for, so the first call is a miss
+    def test_every_call_owns_its_values(self):
         mu = RadialMeasure((Atom(0.3, 1.0),), (PowerDensity(0.7, 0.37),))
-        before = multiplier._cached_prefix.cache_info()
-        first = moment_prefix(mu, 1 << 16)
-        assert moment_prefix(mu, 1 << 16) is first
-        after = multiplier._cached_prefix.cache_info()
-        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
-        # one index more is built afresh on every call and never stored
-        N = (1 << 16) + 1
-        size = after.currsize
-        longer = moment_prefix(mu, N)
-        assert moment_prefix(mu, N) is not longer
-        assert multiplier._cached_prefix.cache_info().currsize == size
-        direct = multiplier._moments(mu, np.arange(N + 1))
-        assert np.array_equal(longer.values, direct)
-        assert np.array_equal(longer.values[:-1], first.values)
+        first = moment_prefix(mu, 4096)
+        expect = first.values.copy()
+        second = moment_prefix(mu, 4096)
+        assert second.values is not first.values
+        first.values[:] = -1.0
+        assert np.array_equal(moment_prefix(mu, 4096).values, expect)
+        assert np.array_equal(second.values, expect)
 
 
 class TestExactM0:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shimorin_lab.diskquad import DiskRule
+from shimorin_lab.diskquad import DiskRule, NonFiniteSampleError
 from shimorin_lab.measure import RadialMeasure
 from shimorin_lab.operator import (
     TaylorFunction,
@@ -80,6 +80,18 @@ class TestQuadratureRoute:
         got = apply_quadrature(mu, f, 0.5, rule)
         expect = apply_multiplier(mu, f)(0.5)
         assert got == pytest.approx(expect, abs=1e-8)
+
+    def test_nonfinite_integrand_raises(self, cat, rule):
+        # nan at the first node only; the route used to return nan
+        def f(lam):
+            vals = np.ones_like(lam)
+            if lam[0] == rule.radial_nodes[0]:
+                vals[0] = np.nan
+            return vals
+
+        with pytest.raises(NonFiniteSampleError) as info:
+            apply_quadrature(cat["lebesgue"], f, 0.5, rule)
+        assert info.value.node == rule.radial_nodes[0]
 
 
 class TestRadialRoute:
