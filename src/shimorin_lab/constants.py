@@ -75,6 +75,19 @@ KERNEL_NORM_BUDGET = 1e-11
 # densities, atoms up to x = 1 - 1e-13, tabulated grids, mixtures).
 DOUBLE_INTEGRAL_BUDGET = 1e-14
 
+# Largest exponent beta of a power density kappa (1-r)^beta whose resolvent
+# (measure.PowerDensity.resolvent) and graded u-rule (PowerDensity.u_rule) run;
+# above it both raise ValueError. Their Gauss order-10 panel on u in [1/2, 1]
+# does not resolve the peak of u^beta at large beta. Against 25-digit mpmath
+# 2F1 closed forms at |w| up to 1 - 1e-5, relative to |K| + nu([0,1]),
+# eval_kernel and the double-integral route reach 2.9e-15 at beta = 16, 6.1e-15
+# at 17 and 1.3e-14 at 18, over DOUBLE_INTEGRAL_BUDGET (worst near w = -1).
+# kernel_lp_norm is within 3.2e-13 of the closed-form series at |z| <= 0.99,
+# p = 2, to beta = 24 (1.6e-10 at 32). multiplier._quadrature_moments, on
+# orders 16 to 32, is within 1.3e-15 of the closed forms to beta = 20. mn and
+# classify use closed forms only and take any finite beta.
+POWER_BETA_MAX = 16.0
+
 # Relative error budget of the even-q disk norms of a polynomial
 # (testfns._parseval_area: Parseval's identity on f^k, f^k by FFT
 # convolution). The error actually reached is at most 5.1e-16 against a

@@ -15,9 +15,11 @@ nu_alpha densities and kappa times Lebesgue, a Gauss-Jacobi rule per octave
 of |1 - w| for power densities with beta != 0, and the grid of a tabulated
 density. The nested double-integral route (whose inner integral runs on
 ``_nested_radial``, the engine of operator.apply_radial too) and the upper
-side of the norm envelope stay on the graded u-rule for every density, so on
-a catalog measure they cross-check both; the nested route is within
-``constants.DOUBLE_INTEGRAL_BUDGET`` of the closed forms.
+side of the norm envelope stay on one outer rule for every density,
+``_rule_for_gap``: the graded u-rule sized to the gap of the integrand, with
+nu's atoms as nodes. So on a catalog measure they cross-check both; the
+nested route is within ``constants.DOUBLE_INTEGRAL_BUDGET`` of the closed
+forms.
 
 L^p norms of K(z, .) and the Forelli-Rudin integral run on one polar rule,
 ``_graded_polar(s)``, graded toward the one near-singular corner rho = 1,
@@ -37,8 +39,9 @@ integral in one form, (1 - x)^c expm1((c+1) log1p(y)) / ((c+1) y), that does
 not cancel for any |z| or node.
 
 The module also predicts the Calderon-Zygmund size and
-smoothness constants from the measure's critical index and verifies every
-pointwise/norm bound on seeded point clouds, reporting margins and witnesses.
+smoothness constants on the branch of the critical-index trichotomy that
+``classify.standard_estimate`` picks, and verifies every pointwise/norm bound
+on seeded point clouds, reporting margins and witnesses.
 The Forelli-Rudin integral is held to its two closed sides
 (``forelli_rudin_reports``), so ``verify`` runs it on the same polar rule.
 """
@@ -60,10 +63,10 @@ from ._gridquad import (
     jacobi_rule,
     panel_rule,
 )
+from .classify import standard_estimate
 from .diskquad import _finite
 from .measure import (
     RadialMeasure,
-    critical_index,
     carleson_constant,
     reciprocal_gap_integral,
     singular_moment,
@@ -98,21 +101,26 @@ __all__ = [
 # resolvent-type measure integrals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _cached_rule(mu: RadialMeasure, depth_zero: int = cns.MEASURE_DEPTH_ZERO,
-                 order: int = cns.MEASURE_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    return mu.pushforward_rule(depth_zero=depth_zero, order=order)
-
-
 # Gauss order per panel of the rule graded below a gap: at 10 the nested
 # double-integral route reaches the resolvent's level on power densities
 # (``constants.DOUBLE_INTEGRAL_BUDGET``)
 _GAP_RULE_ORDER = 10
 
 
-def _rule_for_gap(mu: RadialMeasure, min_gap: float):
-    depth0 = int(min(120, max(40, np.ceil(-np.log2(max(min_gap, 1e-30))) + 20)))
-    return _cached_rule(mu, depth0, _GAP_RULE_ORDER)
+@lru_cache(maxsize=128)
+def _gap_rule(mu: RadialMeasure, depth: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    u, w = mu.pushforward_rule(depth, order)
+    u = np.concatenate((u, [1.0 - a.x for a in mu.atoms]))
+    w = np.concatenate((w, [a.mass for a in mu.atoms]))
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _rule_for_gap(mu: RadialMeasure, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """nu's outer rule in u = 1 - r: the density rule graded below ``gap``,
+    then every atom as the node u = 1 - x of weight its mass (read-only)."""
+    depth = int(min(120, max(40, np.ceil(-np.log2(max(gap, 1e-30))) + 20)))
+    return _gap_rule(mu, depth, _GAP_RULE_ORDER)
 
 
 # Gauss order per panel of the nested routes' inner t-integral
@@ -156,10 +164,10 @@ def eval_dz(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def _nested_radial(mu: RadialMeasure, rule, g, gap: float, n: int) -> np.ndarray:
+def _nested_radial(mu: RadialMeasure, g, gap: float, n: int) -> np.ndarray:
     """sum_i w_i (1/u_i) integral_0^u_i g(1 - v) dv over the outer rule (u_i, w_i)
-    plus mu's atoms, at n points; ``g(v, rows)`` is the integrand at t = 1 - v
-    for the points ``rows`` (v, not t, keeps gaps below the rounding of t exact).
+    of ``gap`` (``_rule_for_gap``), at n points; ``g(v, rows)`` is the integrand
+    at t = 1 - v for ``rows`` (v, not t, keeps gaps below the rounding of t exact).
 
     All nodes share one v-mesh: [0, vmin], then geometric panels from
     vmin = max(1e-4 gap, 1e-18) to 1, gap being the distance of g's nearest
@@ -168,8 +176,7 @@ def _nested_radial(mu: RadialMeasure, rule, g, gap: float, n: int) -> np.ndarray
     sums of w_i / u_i, plus one Gauss panel [b_k, u_i]. At u_i = 0 (r = 1 on a
     tabulated grid) that panel gives the limit w_i g(1).
     """
-    u = np.concatenate((rule[0], [1.0 - a.x for a in mu.atoms]))
-    wt = np.concatenate((rule[1], [a.mass for a in mu.atoms]))
+    u, wt = _rule_for_gap(mu, gap)
     breaks = np.concatenate(([0.0], geometric_breaks(max(gap * 1e-4, 1e-18), 1.0)))
     k = np.minimum(np.searchsorted(breaks, u, side="right") - 1, breaks.size - 2)
     per_u = np.divide(wt, u, out=np.zeros_like(u), where=u > 0.0)
@@ -209,7 +216,7 @@ def double_integral_eval(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
         # 1 - t w = (1 - w) + v w, in this form so that the gap 1 - w is exact
         return 1.0 / ((1.0 - w[rows, None]) + v * w[rows, None]) ** 2
 
-    out = _nested_radial(mu, _rule_for_gap(mu, gap), g, gap, w.size)
+    out = _nested_radial(mu, g, gap, w.size)
     out = out.reshape(np.broadcast(z, lam).shape)
     return complex(out) if out.ndim == 0 else out
 
@@ -318,7 +325,7 @@ def kernel_lp_norm(mu: RadialMeasure, z, p: float) -> float:
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
     s = float(np.abs(z))
-    if s >= 1.0:
+    if not s < 1.0:  # rejects nan too
         raise ValueError("z must lie in the open disk")
     rule = _graded_polar(s)
     w = rule.cross(s * rule.rho, rule.phase)
@@ -336,7 +343,7 @@ def pnorm_envelope(mu: RadialMeasure, z, p: float) -> tuple[float, float]:
     upper = C_p integral (1-r)^-1 integral_r^1 (1 - t|z|^2)^(2/p-2) dt d nu,
     C_p   = (Gamma(2p-2) / Gamma(p)^2)^(1/p),
 
-    with the inner t-integral in closed form. Requires nu({1}) = 0.
+    with the inner t-integral in closed form. Requires nu({1}) = 0 and |z| < 1.
 
     The upper side: Minkowski's inequality on the double-integral form of K
     bounds the norm by the nu- and t-integrals of the L^p norm of
@@ -353,17 +360,18 @@ def pnorm_envelope(mu: RadialMeasure, z, p: float) -> tuple[float, float]:
         raise ValueError(f"p must lie in (1, inf), got {p}")
     if mu.mass_at_one:
         raise ValueError("kernel norm envelope requires no atom at 1")
-    x = float(np.abs(z)) ** 2
+    s = float(np.abs(z))
+    if not s < 1.0:
+        raise ValueError("z must lie in the open disk")
+    x = s ** 2
     lower = (1.0 - x) ** (2.0 / p - 1.0) * float(
         np.real(_resolvent(mu, x)))
     # J(u)/u with J(u) = integral_{1-u}^1 (1 - t x)^c dt, c = 2/p - 2, is
     # (1 - x)^c expm1((c+1) log1p(y)) / ((c+1) y), y = u x/(1 - x); log1p(y)/y
     # at c = -1 (p = 2), and (1 - x)^c at y = 0. No form cancels, for any x and
-    # u >= 0. Atoms enter as extra nodes of the outer rule.
+    # u >= 0. Atoms are nodes of the outer rule.
     c = 2.0 / p - 2.0
     u, wt = _rule_for_gap(mu, 1.0 - x)
-    u = np.concatenate((u, [1.0 - a.x for a in mu.atoms]))
-    wt = np.concatenate((wt, [a.mass for a in mu.atoms]))
     y = u * x / (1.0 - x)
     lg = np.log1p(y)
     growth = lg if c == -1.0 else np.expm1((c + 1.0) * lg) / (c + 1.0)
@@ -414,7 +422,8 @@ class CzNotApplicable:
 
 
 def cz_constants(mu: RadialMeasure) -> Union[CzConstants, CzNotApplicable]:
-    """Size/smoothness constants per the critical-index trichotomy.
+    """Size/smoothness constants per the critical-index trichotomy, whose
+    branch, c and witness come from ``classify.standard_estimate``.
 
     c = 1: any finite measure, constants (2 nu([0,1]), 6 nu([0,1])), order 2.
     1 < c < 2: needs the (2 - 2/c)-Carleson constant C; order 2/c with
@@ -422,17 +431,14 @@ def cz_constants(mu: RadialMeasure) -> Union[CzConstants, CzNotApplicable]:
     c = 2: needs Cr = integral (1-r)^-1 d nu and C2 = sup nu([1-t,1])/t; order 1
         with size = Cr + C2, smooth = Cr + 5 C2.
     """
-    ci = critical_index(mu)
-    c = ci.c
-    if c <= 1.0:
-        m = total_mass(mu)
-        return CzConstants(2.0, 2.0 * m, 6.0 * m, "c=1")
-    # s0 picks the branch and is the exponent (see classify.standard_estimate)
-    if ci.s0 < 1.0:
-        carl = carleson_constant(mu, ci.s0)
-        if not carl.is_finite:
-            return CzNotApplicable(f"Carleson constant at exponent {ci.s0:.6g} diverges")
-        C = carl.value
+    est = standard_estimate(mu)
+    c = est.c_nu
+    if est.branch == "finite-measure":
+        return CzConstants(2.0, 2.0 * est.witness.value, 6.0 * est.witness.value, "c=1")
+    if est.branch == "carleson":
+        if not est.holds:
+            return CzNotApplicable(f"Carleson constant at exponent {2.0 - 2.0 / c:.6g} diverges")
+        C = est.witness.value
         size = C * c * 2.0 ** (2.0 / c - 1.0) / (2.0 - c)
         smooth = C * c * 2.0 ** (2.0 / c) * (1.0 / (2.0 * (2.0 - c)) + 1.0)
         return CzConstants(2.0 / c, size, smooth, "1<c<2")

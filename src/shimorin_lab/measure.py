@@ -123,8 +123,8 @@ class Atom:
     def validate(self) -> None:
         if not (0.0 <= self.x <= 1.0):
             raise ValueError(f"atom location must lie in [0, 1], got {self.x}")
-        if not (self.mass > 0.0):
-            raise ValueError(f"atom mass must be positive, got {self.mass}")
+        if not (0.0 < self.mass < math.inf):
+            raise ValueError(f"atom mass must be positive and finite, got {self.mass}")
 
     def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
         """mass (1 - x w)^-1, or with ``derivative`` mass x (1 - x w)^-2."""
@@ -345,10 +345,10 @@ class PowerDensity:
     beta: float
 
     def validate(self) -> None:
-        if not (self.kappa > 0.0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not (self.beta > -1.0):
-            raise ValueError(f"beta must exceed -1, got {self.beta}")
+        if not (0.0 < self.kappa < math.inf):
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not (-1.0 < self.beta < math.inf):
+            raise ValueError(f"beta must be finite and exceed -1, got {self.beta}")
 
     def mass(self) -> float:
         return self.kappa / (self.beta + 1.0)
@@ -392,10 +392,12 @@ class PowerDensity:
 
         At beta = 0 in closed form, -kappa log1p(-w)/w and
         kappa (1/(1-w) + log1p(-w)/w)/w; otherwise by quadrature, the points
-        grouped by the octave of |1 - w|, each group on its ``_power_gap_rule``.
+        grouped by the octave of |1 - w|, each group on its ``_power_gap_rule``,
+        and a ValueError for beta above ``constants.POWER_BETA_MAX``.
         """
         w = np.asarray(w, dtype=complex)
         if self.beta != 0.0:
+            self._check_rule_beta()
             flat = w.ravel()
             gap = np.maximum(np.abs(1.0 - flat), 2.0 ** -_POWER_MAX_OCTAVE)
             octave = np.maximum(np.floor(-np.log2(gap)), 0.0).astype(int)
@@ -454,8 +456,14 @@ class PowerDensity:
             tail = (1.0 - T ** self.beta) / (self.beta * N)
         return self.kappa * (head + tail)
 
+    def _check_rule_beta(self) -> None:
+        if self.beta > cns.POWER_BETA_MAX:
+            raise ValueError(f"power beta = {self.beta!r} exceeds {cns.POWER_BETA_MAX:g}, "
+                             "the largest at which its quadrature rules hold their budgets")
+
     def u_rule(self, umin: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         # grading toward u = 0 only; the density is smooth at u = 1
+        self._check_rule_beta()
         u, g = panel_rule(geometric_breaks(umin, 1.0), order)
         w = g * self.kappa * u ** self.beta
         # analytic sub-mesh tail, carried as a pseudo-atom at its centroid
@@ -582,6 +590,10 @@ class TabulatedDensity:
         v = np.asarray(self.values)
         if r.ndim != 1 or r.size < 2 or v.shape != r.shape:
             raise ValueError("tabulated density needs matching 1-D r/value grids")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("tabulated r grid must be finite")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("tabulated values must be finite")
         if np.any(np.diff(r) <= 0) or r[0] < 0.0 or r[-1] > 1.0:
             raise ValueError("r grid must be increasing inside [0, 1]")
         if np.any(v < 0.0) or not np.any(v > 0.0):
@@ -684,6 +696,9 @@ class RadialMeasure:
             a.validate()
         for d in self.densities:
             d.validate()
+        mass = total_mass(self)
+        if not math.isfinite(mass):
+            raise ValueError(f"total mass must be finite, got {mass}")
 
     # -- constructors -------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diskquad import DiskRule, TaylorFunction, integrate
-from .kernel import _cached_rule, _nested_radial, eval_kernel
+from .kernel import _nested_radial, eval_kernel
 from .measure import RadialMeasure
 from .multiplier import moment_prefix
 
@@ -50,8 +50,8 @@ def apply_radial(mu: RadialMeasure, f, z) -> complex:
 
     The inner integrals (1/u) integral_{1-u}^1 f(t z) dt run on
     ``kernel._nested_radial`` with the gap 1 - |z|, as f(t z) is analytic for
-    |t| < 1/|z|; the outer rule is mu's pushforward rule at the default
-    depths, cached per measure. Requires nu({1}) = 0.
+    |t| < 1/|z|, and so does the outer rule: the one the double-integral
+    kernel route sizes to its own gap. Requires nu({1}) = 0.
     """
     if mu.mass_at_one:
         raise ValueError("radial formula requires no atom at 1")
@@ -59,4 +59,4 @@ def apply_radial(mu: RadialMeasure, f, z) -> complex:
     def g(v, rows):
         return np.asarray(f((1.0 - v) * complex(z)), dtype=complex)[None, :]
 
-    return complex(_nested_radial(mu, _cached_rule(mu), g, 1.0 - abs(z), 1)[0])
+    return complex(_nested_radial(mu, g, 1.0 - abs(z), 1)[0])

@@ -201,7 +201,12 @@ def block_testfn(mu: RadialMeasure, t_exp: float, N: int) -> TaylorFunction:
     Within each block a_m/a_n <= 2^(t_exp+1); the operator maps these to
     m_(2^k) (n+1)^t_exp exactly (algebraic cancellation).
     """
-    m = moment_prefix(mu, N).values
+    return _block_testfn(moment_prefix(mu, N).values, t_exp)
+
+
+def _block_testfn(m: np.ndarray, t_exp: float) -> TaylorFunction:
+    """``block_testfn`` of degree m.size - 1 on the moment prefix m."""
+    N = m.size - 1
     n = np.arange(N + 1)
     heads = np.zeros(N + 1)
     heads[0] = m[0]
@@ -293,7 +298,9 @@ def _box_response(mu: RadialMeasure, t: float, box_moments) -> TaylorFunction:
         N *= 2
     n = np.arange(N + 1)
     m = moment_prefix(mu, N).values
-    coeffs = m * (n + 1.0) * box_moments(n)
+    # m_n (n+1) M_n may overflow; from_array then raises instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = m * (n + 1.0) * box_moments(n)
     return TaylorFunction.from_array(coeffs)
 
 
@@ -442,9 +449,8 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
         tf = response(mu, param)
         rule = _series_rule(tf.degree, param)
     elif family in ("power", "block"):
-        f = power_testfn(param, _N_TERMS) if family == "power" else \
-            block_testfn(mu, param, _N_TERMS)
-        m = moment_prefix(mu, f.degree).values
+        m = moment_prefix(mu, _N_TERMS).values
+        f = power_testfn(param, _N_TERMS) if family == "power" else _block_testfn(m, param)
         tf = TaylorFunction.from_array(m * f.coefficients)
         f_norm = _strong_norm(f, p, _series_rule(f.degree, q=p))
         rule = _series_rule(tf.degree, q=q)

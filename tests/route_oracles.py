@@ -11,7 +11,7 @@ directories, so the first one imported would shadow the other.)
 import numpy as np
 
 from shimorin_lab._gridquad import geometric_breaks, jacobi_rule, panel_rule, resolvent_sum
-from shimorin_lab.kernel import _cached_rule, _resolvent, eval_kernel
+from shimorin_lab.kernel import _resolvent, eval_kernel
 from shimorin_lab.measure import RadialMeasure
 from shimorin_lab.testfns import _BOX_RULE, aligned_testfn, box, indicator_testfn
 
@@ -21,7 +21,7 @@ def quadrature_resolvent(mu: RadialMeasure, w: np.ndarray, derivative: bool) -> 
     with ``derivative``) on mu's pushforward rule at the default depths, for a
     flat complex array w; independent of the components' own ``resolvent``.
     """
-    return resolvent_sum(*_cached_rule(mu), w, derivative)
+    return resolvent_sum(*mu.pushforward_rule(), w, derivative)
 
 
 def direct_response(mu: RadialMeasure, family: str, t: float):

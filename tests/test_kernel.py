@@ -47,6 +47,7 @@ from shimorin_lab.measure import (
     split_at_one,
     total_mass,
 )
+from shimorin_lab.multiplier import moment_prefix
 
 from route_oracles import tensor_kernel_lp_norm, tensor_polar
 
@@ -64,14 +65,8 @@ def _boundary_and_small_w(seed: int) -> np.ndarray:
 
 
 def _by_quadrature(mu: RadialMeasure, w: np.ndarray, derivative: bool) -> np.ndarray:
-    """The resolvent with every density on the graded u-rule, atoms exact."""
-    out = resolvent_sum(*_rule_for_gap(mu, float(np.min(np.abs(1.0 - w)))), w, derivative)
-    for a in mu.atoms:
-        if derivative:
-            out += a.mass * a.x / (1.0 - a.x * w) ** 2
-        else:
-            out += a.mass / (1.0 - a.x * w)
-    return out
+    """The resolvent with every density on the graded u-rule, atoms as its nodes."""
+    return resolvent_sum(*_rule_for_gap(mu, float(np.min(np.abs(1.0 - w)))), w, derivative)
 
 
 class TestResolvent:
@@ -310,7 +305,7 @@ class TestDoubleIntegral:
         vmin = max(gap * 1e-4, 1e-18)
         u_outer, wt_outer = _rule_for_gap(mu, gap)
         ref = np.zeros(w.shape, dtype=complex)
-        for u, weight in list(zip(u_outer, wt_outer)) + [(1.0 - a.x, a.mass) for a in mu.atoms]:
+        for u, weight in zip(u_outer, wt_outer):
             if u == 0.0:
                 ref += weight / (1.0 - w) ** 2
                 continue
@@ -421,6 +416,60 @@ class TestKernelNorm:
             kernel_lp_norm(mu, 0.9, 2.0)
 
 
+    @pytest.mark.parametrize("z", [math.nan, 1.0, 1.5, complex(math.nan, 0.5)])
+    def test_rejects_z_outside_the_open_disk(self, z):
+        # nan used to reach int(nan), and |z| = 1.5 a negative envelope
+        for route in (kernel_lp_norm, pnorm_envelope):
+            with pytest.raises(ValueError, match="open disk"):
+                route(RadialMeasure.lebesgue(), z, 2.0)
+
+
+_BETAS_TO_THE_BOUND = (0.5, 5.5, 12.5, 15.5, cns.POWER_BETA_MAX)
+
+
+class TestPowerBetaBound:
+    """Power densities up to ``constants.POWER_BETA_MAX`` against the series
+    K = sum (n+1) m_n w^n of the closed-form m_n, and a ValueError above it."""
+
+    @pytest.mark.parametrize("beta", _BETAS_TO_THE_BOUND)
+    def test_kernel_routes_match_the_series(self, beta):
+        mpmath = pytest.importorskip("mpmath")
+        mu = RadialMeasure.power(1.3, beta)
+        coef = (np.arange(4001) + 1.0) * moment_prefix(mu, 4000).values
+        radii = np.array([0.3, 0.6, 0.9, 0.99])
+        w = (radii[:, None] * np.exp(1j * np.array([0.0, 0.4, 2.0, -3.0]))).ravel()
+        z, lam = np.sqrt(np.abs(w)) + 0j, np.sqrt(np.abs(w)) * np.exp(-1j * np.angle(w))
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.polyval(coef[::-1].tolist(), mpmath.mpc(x)))
+                            for x in z * np.conj(lam)])
+        scale = np.abs(ref) + total_mass(mu)
+        for route in (eval_kernel, double_integral_eval):
+            err = np.max(np.abs(route(mu, z, lam) - ref) / scale)
+            assert err <= cns.DOUBLE_INTEGRAL_BUDGET, (route.__name__, err)
+
+    @pytest.mark.parametrize("beta", _BETAS_TO_THE_BOUND)
+    def test_norm_matches_the_series(self, beta):
+        # ||K(z, .)||_2^2 = sum (n+1) m_n^2 |z|^(2n) on the normalized area
+        mu = RadialMeasure.power(1.3, beta)
+        n = np.arange(4001)
+        m = moment_prefix(mu, 4000).values
+        for s in (0.5, 0.9, 0.99):
+            ref = math.sqrt(math.fsum((n + 1.0) * m * m * s ** (2.0 * n)))
+            assert abs(kernel_lp_norm(mu, s, 2.0) - ref) <= cns.KERNEL_NORM_BUDGET * ref
+
+    def test_routes_raise_above_the_bound(self):
+        mu = RadialMeasure.power(1.0, math.nextafter(cns.POWER_BETA_MAX, math.inf))
+        for call in (lambda: eval_kernel(mu, 0.5, 0.5),
+                     lambda: double_integral_eval(mu, 0.5, 0.5),
+                     lambda: kernel_lp_norm(mu, 0.5, 2.0),
+                     lambda: pnorm_envelope(mu, 0.5, 2.0),
+                     lambda: mu.pushforward_rule()):
+            with pytest.raises(ValueError, match="exceeds"):
+                call()
+        # the closed forms take it: mn and classify keep working
+        assert moment_prefix(mu, 64).values[0] == total_mass(mu)
+
+
 class TestPolarRule:
     def test_one_read_only_rule_per_depth(self):
         # |z| = 0.9 and 0.91 both have depth 6: one cached rule, arrays read-only
@@ -506,7 +555,7 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("name", ["lebesgue", "power", "nu_alpha", "lebesgue+atom"])
     def test_upper_against_mpmath(self, name):
-        # C_p sum_i w_i J(u_i)/u_i on the same outer rule, atoms as extra nodes,
+        # C_p sum_i w_i J(u_i)/u_i on the same outer rule, atoms among its nodes,
         # with J(u) = integral_{1-u}^1 (1 - t x)^(2/p-2) dt in closed form at 40 digits
         mpmath = pytest.importorskip("mpmath")
         mu = {"lebesgue": RadialMeasure.lebesgue(),
@@ -517,8 +566,6 @@ class TestEnvelope:
         for z in (0.01, 0.5, 0.9, 0.999):
             x = z ** 2
             u, wt = _rule_for_gap(mu, 1.0 - x)
-            u = np.concatenate((u, [1.0 - a.x for a in mu.atoms]))
-            wt = np.concatenate((wt, [a.mass for a in mu.atoms]))
             for p in (1.05, 1.5, 2.0, 3.0, 8.0):
                 with mpmath.workdps(40):
                     xm, pm = mpmath.mpf(x), mpmath.mpf(p)

@@ -495,6 +495,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             RadialMeasure()
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: Atom(0.5, math.inf), "atom mass"),
+        (lambda: Atom(0.5, math.nan), "atom mass"),
+        (lambda: PowerDensity(math.inf, 0.5), "kappa"),
+        (lambda: PowerDensity(1.0, math.inf), "beta"),
+        (lambda: PowerDensity(1.0, math.nan), "beta"),
+        (lambda: TabulatedDensity((0.0, math.nan, 1.0), (1.0, 1.0, 1.0)), "r grid"),
+        (lambda: TabulatedDensity((0.0, 0.5, 1.0), (1.0, math.nan, 1.0)), "values"),
+        (lambda: TabulatedDensity((0.0, 0.5, 1.0), (1.0, math.inf, 1.0)), "values"),
+    ], ids=["atom-inf", "atom-nan", "kappa-inf", "beta-inf", "beta-nan", "r-nan",
+            "values-nan", "values-inf"])
+    def test_rejects_non_finite_parameters(self, make, field):
+        component = make()
+        group = "atoms" if isinstance(component, Atom) else "densities"
+        with pytest.raises(ValueError, match=field):
+            RadialMeasure(**{group: (component,)})
+
+    @pytest.mark.parametrize("mu", [
+        lambda: RadialMeasure.dirac(0.5, 1e308) + RadialMeasure.dirac(0.6, 1e308),
+        lambda: RadialMeasure.power(1e308, -0.5),
+    ], ids=["two-atoms", "power"])
+    def test_rejects_infinite_total_mass(self, mu):
+        with pytest.raises(ValueError, match="total mass must be finite"):
+            mu()
+
     @given(st.floats(min_value=-0.95, max_value=2.0),
            st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=40, deadline=None)

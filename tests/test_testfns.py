@@ -139,6 +139,18 @@ class TestPowerAndBlock:
             blk = a[2**k: 2**(k + 1)]
             assert blk.max() <= 2.0 ** (t_exp + 1.0) * blk.min() * (1 + 1e-12)
 
+    def test_block_scale_builds_one_prefix(self, cat, monkeypatch):
+        # ratio_experiment builds the block coefficients from its own prefix
+        calls = []
+
+        def counting(mu, N):
+            calls.append(N)
+            return moment_prefix(mu, N)
+
+        monkeypatch.setattr(testfns, "moment_prefix", counting)
+        testfns.ratio_experiment(cat["power_-0.5"], 2.0, 3.0, "block", 0.25)
+        assert calls == [testfns._N_TERMS]
+
     def test_operator_cancels_block_modification(self, cat):
         # T maps the block test function to m_(2^k) (n+1)^t on each block exactly
         mu = cat["lebesgue"]
