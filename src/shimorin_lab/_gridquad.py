@@ -7,9 +7,10 @@ panels toward the singular end(s), put a fixed-order Gauss rule on each panel,
 and either account for the sub-mesh tail analytically or cover it with one
 Gauss-Jacobi panel that carries an endpoint power exactly. The module also
 holds the three sums of a u-rule (u_j, c_j) in u = 1 - r that the measure
-components share: against the resolvent (1 - r w)^-1 (``resolvent_sum``),
-against the multiplier integrand (1 - r^(n+1)) / ((n+1)(1 - r)) (``moment_sum``)
-and against the claim-1 envelope min{1, 1/((n+1) u)} (``envelope_sum``).
+components share: against the resolvent (1 - r w)^-1 and its w-derivative
+(``resolvent_sums``), against the multiplier integrand
+(1 - r^(n+1)) / ((n+1)(1 - r)) (``moment_sum``) and against the claim-1
+envelope min{1, 1/((n+1) u)} (``envelope_sum``).
 """
 
 from __future__ import annotations
@@ -83,15 +84,23 @@ BLOCK = 1 << 13
 def resolvent_sum(u: np.ndarray, weights: np.ndarray, w: np.ndarray,
                   derivative: bool) -> np.ndarray:
     """sum_j c_j (1 - r_j w)^-1, or with ``derivative`` sum_j c_j r_j (1 - r_j w)^-2,
-    over a rule (u_j, c_j) in u = 1 - r, for a flat complex array w.
+    over a rule (u_j, c_j) in u = 1 - r, for a flat complex array w."""
+    return resolvent_sums(u, weights, w, (derivative,))[0]
+
+
+def resolvent_sums(u: np.ndarray, weights: np.ndarray, w: np.ndarray,
+                   parts: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+    """``resolvent_sum`` for each ``derivative`` in parts, from one pass.
 
     Real arithmetic on blocks of about ``BLOCK`` elements: with
     1 - r w = a + ib and d = a^2 + b^2, 1/(a+ib) = (a - ib)/d and
-    1/(a+ib)^2 = (a^2 - b^2 - 2iab)/d^2.
+    1/(a+ib)^2 = (a^2 - b^2 - 2iab)/d^2. Both sums share a, b and d, and each
+    is the same bits as when it is asked for alone.
     """
-    fac = weights * (1.0 - u) if derivative else weights
+    value, slope = False in parts, True in parts
+    out = {d: np.empty(w.shape, dtype=complex) for d in (False, True) if d in parts}
+    fac = weights * (1.0 - u) if slope else None
     re_gap, w_re, w_im = 1.0 - w.real, w.real, w.imag
-    out = np.empty(w.shape, dtype=complex)
     rows = max(1, BLOCK // max(u.size, 1))
     for lo in range(0, w.size, rows):
         sl = slice(lo, lo + rows)
@@ -103,7 +112,13 @@ def resolvent_sum(u: np.ndarray, weights: np.ndarray, w: np.ndarray,
         d = a * a
         d += b * b
         np.reciprocal(d, out=d)
-        if derivative:
+        if value:
+            # in place unless the derivative still needs a and b
+            re = a * d if slope else np.multiply(a, d, out=a)
+            im = b * d if slope else np.multiply(b, d, out=b)
+            out[False].real[sl] = re @ weights
+            out[False].imag[sl] = -(im @ weights)
+        if slope:
             d *= d
             ab = a * b
             ab *= d
@@ -111,14 +126,9 @@ def resolvent_sum(u: np.ndarray, weights: np.ndarray, w: np.ndarray,
             b *= b
             a -= b
             a *= d
-            out.real[sl] = a @ fac
-            out.imag[sl] = -2.0 * (ab @ fac)
-        else:
-            a *= d
-            b *= d
-            out.real[sl] = a @ fac
-            out.imag[sl] = -(b @ fac)
-    return out
+            out[True].real[sl] = a @ fac
+            out[True].imag[sl] = -2.0 * (ab @ fac)
+    return tuple(out[d] for d in parts)
 
 
 # elements per (indices x nodes) block of moment_sum (2 MB temporaries)

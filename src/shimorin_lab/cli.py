@@ -39,12 +39,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import constants as cns
 from . import kernel as kr
 from . import testfns as tf
 from .classify import (REGION_MAX_RESOLUTION, ExponentPair, region_grid, region_verdict,
                        standard_estimate)
 from .diskquad import NonFiniteSampleError
-from .measure import RadialMeasure, critical_index
+from .measure import PowerDensity, RadialMeasure, critical_index
 from .multiplier import _quadrature_moments, claim1_envelope
 from .multiplier import moment_prefix, moments_at
 
@@ -230,10 +231,25 @@ def _suite_checks(mu: RadialMeasure, suite: str, seed: int):
     return checks
 
 
+def _check_rule_betas(mu: RadialMeasure, suite: str) -> None:
+    """ValueError when the suite needs the power-density quadrature rules
+    (its kernel checks and mn-routes) on a density beyond their bound. Each
+    of those checks would raise, and the suite would read as violated."""
+    if suite == "testfns":
+        return
+    for d in mu.densities:
+        if isinstance(d, PowerDensity) and d.beta > cns.POWER_BETA_MAX:
+            raise ValueError(
+                f"power beta = {d.beta!r} exceeds POWER_BETA_MAX = {cns.POWER_BETA_MAX:g}, "
+                f"the largest at which the quadrature rules that --suite {suite} "
+                "runs hold their budgets (--suite testfns does not run them)")
+
+
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     mu = parse_measure(args.measure)
+    _check_rule_betas(mu, args.suite)
     checks = _suite_checks(mu, args.suite, args.seed)
 
     def run(named):

@@ -27,7 +27,8 @@ Complex coefficients take an inverse FFT, and any other callable is evaluated
 at the nodes rho e^(2 pi i k / M); both yield whole circles. ``lp_norm``
 accumulates radius by radius: the radial weight times the mean of |f|^p over
 the circle, each column counted with its multiplicity. ``weak_norm`` carries
-the multiplicities as weights; ``bloch_seminorm`` needs only the maximum.
+the multiplicities as weights; ``bloch_seminorm`` needs only the maximum,
+and of a polynomial it samples only the circles whose bound can exceed it.
 Every consumer drops a block before the sampler builds the next, so one block
 is alive at a time.
 """
@@ -69,6 +70,9 @@ _NODE_BLOCK = 1 << 12
 _EXP_ZERO = -746.0
 # element cap on one (B x points) array of powers in _block_horner
 _HORNER_CHUNK = 1 << 14
+# relative slack of bloch_seminorm's skip test, far above the rounding of a
+# circle's bound and of its samples (~1e-11 relative at degree 10^5)
+_BLOCH_SLACK = 1e-9
 # float-bit bins of weak_norm's histogram: a double's bits >> 40 keep its
 # exponent and 12 mantissa bits, so 4096 bins per octave, ordered as the values
 _BIN_SHIFT = 40
@@ -188,6 +192,20 @@ def _block_horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _majorant(c: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """sum_n |c_n| rho^n at each radius rho >= 0, split as ``_block_horner``
+    splits its sum, n = jB + i: the block sums sum_i |c_(jB+i)| rho^i are one
+    (J x B) by (B x radii) product, then weighted by rho^(jB). An overflow
+    gives inf or nan."""
+    B = math.isqrt(c.size - 1) + 1
+    J = -(-c.size // B)
+    blocks = np.zeros(J * B)
+    blocks[:c.size] = np.abs(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = blocks.reshape(J, B) @ radii ** np.arange(B)[:, None]
+        return np.einsum("jr,jr->r", sums, radii ** (B * np.arange(J))[:, None])
+
+
 def _radial_breaks(depth: int) -> np.ndarray:
     pts = 1.0 - 2.0 ** (-np.arange(depth + 1, dtype=float))
     return np.concatenate((pts, [1.0]))
@@ -245,8 +263,12 @@ def _sample(f, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _circle_blocks(f, radii: np.ndarray, M: int):
+def _circle_blocks(f, radii: np.ndarray, M: int, rows: int | None = None):
     """Yield (lo, mods, mult): mods[k] holds |f| on the circle of radius radii[lo + k].
+
+    A block holds ``rows`` circles, by default as many as fill ``_CALL_CHUNK``
+    nodes of a callable or ``_CHUNK`` columns of a TaylorFunction; no
+    circle's values depend on the block it comes in.
 
     For real coefficients the columns are the closed upper half circle, the
     H = M // 2 + 1 angles 2 pi j / M, j < H, and column j stands for mult[j]
@@ -256,7 +278,7 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
     """
     if not isinstance(f, TaylorFunction):
         phase = _circle(M)
-        rows = max(1, _CALL_CHUNK // M)
+        rows = rows or max(1, _CALL_CHUNK // M)
         for lo in range(0, radii.size, rows):
             nodes = radii[lo:lo + rows, None] * phase[None, :]
             # float, also for a callable that returns integers or booleans
@@ -272,7 +294,7 @@ def _circle_blocks(f, radii: np.ndarray, M: int):
         mult[0] = 1.0
         if M % 2 == 0:
             mult[-1] = 1.0  # the Nyquist column, its own mirror image
-    rows = max(1, _CHUNK // H)
+    rows = rows or max(1, _CHUNK // H)
     # coefficient n = j M + k at C[j, k], zero-padded to whole turns of the circle
     J = -(-c.size // M)
     C = np.zeros(J * M, dtype=float if real else complex)
@@ -576,15 +598,38 @@ def weak_norm(f, q: float, rule: DiskRule) -> float:
 
 def bloch_seminorm(f: SampledFunction, radial_depth: int = 30,
                    angular_count: int = 256) -> float:
-    """|f(0)| + max of (1 - |z|^2)|f'(z)| over radii 1 - 2^-j, j <= radial_depth."""
+    """|f(0)| + max of (1 - |z|^2)|f'(z)| over radii 1 - 2^-j, j <= radial_depth.
+
+    Where f' is a TaylorFunction with coefficients d, no sample on the circle
+    of radius rho exceeds the bound (1 - rho^2) sum |d_m| rho^m
+    (``_majorant``, one real sum per radius). The circles are then sampled
+    one at a time in decreasing order of their bounds, and the scan stops
+    before the first whose bound times 1 + ``_BLOCH_SLACK`` is below the
+    largest value read: neither it nor any circle after it can hold a larger
+    one. A max does not depend on the order, so the value is the same bits as
+    a scan of every circle, which a callable f' still takes. A non-finite
+    bound sorts first, so a circle whose samples overflow is sampled and
+    raises NonFiniteSampleError.
+    """
     if f.derivative is None:
         raise ValueError("bloch_seminorm needs a derivative callback")
     radii = 1.0 - 2.0 ** (-np.arange(radial_depth + 1, dtype=float))
+    weight = 1.0 - radii * radii
     best = 0.0
     # a half circle holds the sup of the whole one: the multiplicities do not matter
-    for lo, mods, _ in _circle_blocks(f.derivative, radii, angular_count):
-        rho = radii[lo:lo + len(mods)]
-        best = max(best, float(np.max((1.0 - rho * rho) * mods.max(axis=1))))
-        del mods
+    if isinstance(f.derivative, TaylorFunction):
+        bound = weight * _majorant(f.derivative.coefficients, radii)
+        bound[np.isnan(bound)] = np.inf
+        order = np.argsort(-bound, kind="stable")
+        circles = _circle_blocks(f.derivative, radii[order], angular_count, rows=1)
+        for i in order:
+            if bound[i] * (1.0 + _BLOCH_SLACK) < best:
+                break
+            _, mods, _ = next(circles)
+            best = max(best, float(weight[i] * mods.max()))
+    else:
+        for lo, mods, _ in _circle_blocks(f.derivative, radii, angular_count):
+            best = max(best, float(np.max(weight[lo:lo + len(mods)] * mods.max(axis=1))))
+            del mods
     _, center, _ = next(_circle_blocks(f.evaluate, np.zeros(1), 1))
     return float(center[0, 0]) + best

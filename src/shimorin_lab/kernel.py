@@ -9,13 +9,14 @@ representation (measures with no atom at 1):
     K(z, lam)   = integral (1-r)^-1 integral_r^1 (1 - t w)^-2 dt d nu(r)
 
 The two resolvent integrals F(w) = integral (1 - r w)^-1 d nu and
-F'(w) = integral r (1 - r w)^-2 d nu are linear in nu: ``_resolvent`` sums
-every component's own ``resolvent`` (measure.py), which is exact for atoms,
-nu_alpha densities and kappa times Lebesgue, a Gauss-Jacobi rule per octave
-of |1 - w| for power densities with beta != 0, and the grid of a tabulated
-density. The nested double-integral route (whose inner integral runs on
-``_nested_radial``, the engine of operator.apply_radial too) and the upper
-side of the norm envelope stay on one outer rule for every density,
+F'(w) = integral r (1 - r w)^-2 d nu are linear in nu: ``_resolvents`` sums
+every component's own ``resolvents`` (measure.py), F, F' or both from one
+pass, which is exact for atoms, nu_alpha densities and kappa times Lebesgue,
+a Gauss-Jacobi rule per octave of |1 - w| for power densities with
+beta != 0, and the grid of a tabulated density. The nested double-integral
+route (whose inner integral runs on ``_nested_radial``, the engine of
+operator.apply_radial too) and the upper side of the norm envelope stay on
+one outer rule for every density,
 ``_rule_for_gap``: the graded u-rule sized to the gap of the integrand, with
 nu's atoms as nodes. So on a catalog measure they cross-check both; the
 nested route is within ``constants.DOUBLE_INTEGRAL_BUDGET`` of the closed
@@ -131,15 +132,20 @@ _SWEEP_DEPTH = 14
 
 def _resolvent(mu: RadialMeasure, w, derivative: bool = False) -> np.ndarray:
     """integral (1 - r w)^-1 d nu(r), or with ``derivative`` its w-derivative
-    integral r (1 - r w)^-2 d nu(r), vectorized over w: the sum of every
-    component's own ``resolvent`` (measure.py).
-    """
+    integral r (1 - r w)^-2 d nu(r), vectorized over w."""
+    return _resolvents(mu, w, (derivative,))[0]
+
+
+def _resolvents(mu: RadialMeasure, w, parts: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+    """``_resolvent`` for each ``derivative`` in parts: the sums of every
+    component's own ``resolvents`` (measure.py), one pass per component."""
     w = np.asarray(w, dtype=complex)
     flat = w.ravel()
-    out = np.zeros(flat.shape, dtype=complex)
+    out = [np.zeros(flat.shape, dtype=complex) for _ in parts]
     for component in mu.atoms + mu.densities:
-        out += component.resolvent(flat, derivative)
-    return out.reshape(w.shape)
+        for total, part in zip(out, component.resolvents(flat, parts)):
+            total += part
+    return tuple(total.reshape(w.shape) for total in out)
 
 
 def eval_kernel(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
@@ -158,8 +164,9 @@ def eval_dz(mu: RadialMeasure, z, lam) -> np.ndarray | complex:
     lam = np.asarray(lam, dtype=complex)
     lbar = np.conj(lam)
     w = z * lbar
-    first = lbar / (1.0 - w) ** 2 * _resolvent(mu, w)
-    second = lbar / (1.0 - w) * _resolvent(mu, w, derivative=True)
+    F, dF = _resolvents(mu, w, (False, True))
+    first = lbar / (1.0 - w) ** 2 * F
+    second = lbar / (1.0 - w) * dF
     out = first + second
     return complex(out) if out.ndim == 0 else out
 

@@ -21,12 +21,13 @@ Both the resolvent integral (1 - r w)^-1 d nu with its w-derivative and the
 coefficient multipliers m_n = (n+1)^-1 integral (1 - r^(n+1))/(1 - r) d nu are
 linear in nu, and so is the claim-1 envelope integral min{1, 1/((n+1)(1-r))}
 d nu. Every component carries its own part of each, as
-``resolvent(w, derivative)``, ``moments(n)`` and ``envelope(N)``, and the
-kernel and multiplier modules only sum them: atoms exactly; power and
+``resolvents(w, parts)`` (the resolvent, its derivative or both from one
+pass), ``moments(n)`` and ``envelope(N)``, and the kernel and multiplier
+modules only sum them: atoms exactly; power and
 nu_alpha densities in closed form (Gamma ratios in an O(1)-term Stirling
 form; power densities with beta != 0 take their resolvent on a Gauss-Jacobi
 rule per octave of |1 - w|; the nu_alpha envelope on its default u-rule);
-tabulated densities on their own trapezoid grid (``_gridquad.resolvent_sum``,
+tabulated densities on their own trapezoid grid (``_gridquad.resolvent_sums``,
 ``_gridquad.moment_sum`` and ``_gridquad.envelope_sum``). A new density kind
 is one class here.
 """
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import constants as cns
 from ._gridquad import (envelope_sum, geometric_breaks, jacobi_rule, ladder_decision,
-                        moment_sum, panel_rule, resolvent_sum)
+                        moment_sum, panel_rule, resolvent_sums)
 
 __all__ = [
     "Atom",
@@ -113,8 +114,17 @@ class DivergibleValue:
 # measure components
 # ---------------------------------------------------------------------------
 
+class _Component:
+    """What every component shares: ``resolvent`` from its ``resolvents``."""
+
+    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
+        """integral (1 - r w)^-1 d nu, or with ``derivative`` its w-derivative
+        integral r (1 - r w)^-2 d nu, over this component."""
+        return self.resolvents(w, (derivative,))[0]
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Component):
     """Point mass at x in [0, 1]."""
 
     x: float
@@ -126,16 +136,16 @@ class Atom:
         if not (0.0 < self.mass < math.inf):
             raise ValueError(f"atom mass must be positive and finite, got {self.mass}")
 
-    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
-        """mass (1 - x w)^-1, or with ``derivative`` mass x (1 - x w)^-2."""
+    def resolvents(self, w: np.ndarray, parts: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+        """For each ``derivative`` in parts, mass (1 - x w)^-1, or with it
+        mass x (1 - x w)^-2."""
         w = np.asarray(w, dtype=complex)
         # 1 - x w = (1 - w) + (1 - x) w, in this form so that the gap 1 - w is
         # exact: 1 - x w itself rounds to ~eps/|1 - x w| relative (1.6e-14 at
         # x = 0.99999, |1 - w| = 4e-3)
         gap = (1.0 - w) + (1.0 - self.x) * w
-        if derivative:
-            return self.mass * self.x / gap ** 2
-        return self.mass / gap
+        return tuple(self.mass * self.x / gap ** 2 if derivative else self.mass / gap
+                     for derivative in parts)
 
     def moments(self, n: np.ndarray) -> np.ndarray:
         """mass * (1 - x^(n+1)) / ((n+1)(1-x)), handled stably at x in {0, 1}; the
@@ -338,7 +348,7 @@ def _stirling_split(x: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class PowerDensity:
+class PowerDensity(_Component):
     """Density kappa * (1 - r)^beta on [0, 1); integrable requires beta > -1."""
 
     kappa: float
@@ -385,42 +395,48 @@ class PowerDensity:
             return self.gap_moment(s)
         return DivergibleValue.finite(self.kappa * 2.0 ** -s / e * _hyp2f1(s, e, e + 1.0, 0.5))
 
-    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
-        """integral (1 - r w)^-1 d nu = kappa/(beta+1) 2F1(1, 1; beta+2; w), or its
-        w-derivative integral r (1 - r w)^-2 d nu = kappa/((beta+1)(beta+2))
-        2F1(2, 2; beta+3; w).
+    def resolvents(self, w: np.ndarray, parts: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+        """For each ``derivative`` in parts, integral (1 - r w)^-1 d nu =
+        kappa/(beta+1) 2F1(1, 1; beta+2; w), or with it the w-derivative
+        integral r (1 - r w)^-2 d nu = kappa/((beta+1)(beta+2)) 2F1(2, 2; beta+3; w).
 
         At beta = 0 in closed form, -kappa log1p(-w)/w and
         kappa (1/(1-w) + log1p(-w)/w)/w; otherwise by quadrature, the points
         grouped by the octave of |1 - w|, each group on its ``_power_gap_rule``,
-        and a ValueError for beta above ``constants.POWER_BETA_MAX``.
+        and a ValueError for beta above ``constants.POWER_BETA_MAX``. The
+        parts share the grouping, the rules' denominators and the logarithm.
         """
         w = np.asarray(w, dtype=complex)
+        kinds = sorted(set(parts))
         if self.beta != 0.0:
             self._check_rule_beta()
             flat = w.ravel()
             gap = np.maximum(np.abs(1.0 - flat), 2.0 ** -_POWER_MAX_OCTAVE)
             octave = np.maximum(np.floor(-np.log2(gap)), 0.0).astype(int)
-            out = np.empty(flat.shape, dtype=complex)
+            out = {d: np.empty(flat.shape, dtype=complex) for d in kinds}
             for k in np.unique(octave):
                 sel = octave == k
-                out[sel] = resolvent_sum(*_power_gap_rule(self.beta, int(k)),
-                                         flat[sel], derivative)
-            return self.kappa * out.reshape(w.shape)
-        out = np.empty_like(w)
+                sums = resolvent_sums(*_power_gap_rule(self.beta, int(k)),
+                                      flat[sel], tuple(kinds))
+                for d, v in zip(kinds, sums):
+                    out[d][sel] = v
+            return tuple(self.kappa * out[d].reshape(w.shape) for d in parts)
+        out = {d: np.empty_like(w) for d in kinds}
         small = np.abs(w) < _LEBESGUE_TAYLOR_RADIUS
         k = np.arange(_LEBESGUE_TAYLOR_TERMS, dtype=float)
-        # sum_k c_k w^k with c_k = 1/(k+1), or (k+1)/(k+2) for the derivative
-        coef = (k + 1.0) / (k + 2.0) if derivative else 1.0 / (k + 1.0)
         ws = w[small]
-        acc = np.zeros_like(ws)
-        for c in coef[::-1]:
-            acc = acc * ws + c
-        out[small] = acc
+        for d in kinds:
+            # sum_k c_k w^k with c_k = 1/(k+1), or (k+1)/(k+2) for the derivative
+            coef = (k + 1.0) / (k + 2.0) if d else 1.0 / (k + 1.0)
+            acc = np.zeros_like(ws)
+            for c in coef[::-1]:
+                acc = acc * ws + c
+            out[d][small] = acc
         wb = w[~small]
         lw = np.log1p(-wb) / wb
-        out[~small] = (1.0 / (1.0 - wb) + lw) / wb if derivative else -lw
-        return self.kappa * out
+        for d in kinds:
+            out[d][~small] = (1.0 / (1.0 - wb) + lw) / wb if d else -lw
+        return tuple(self.kappa * out[d] for d in parts)
 
     def moments(self, n: np.ndarray) -> np.ndarray:
         """m_n = kappa (1/beta - Gamma(beta) Gamma(n+2) / Gamma(n+2+beta)) / (n+1),
@@ -473,7 +489,7 @@ class PowerDensity:
 
 
 @dataclass(frozen=True)
-class NuAlphaDensity:
+class NuAlphaDensity(_Component):
     """Normalized density r^(alpha-2) (1-r)^(1-alpha) / B(alpha-1, 2-alpha), alpha in (1, 2).
 
     Realizes the fractional kernel (1 - z conj(lambda))^-alpha; unit total mass
@@ -521,25 +537,32 @@ class NuAlphaDensity:
             return DivergibleValue.finite(2.0 ** -s * v.value * _hyp2f1(s, c, 1.0 - s, 0.5))
         return v
 
-    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
-        """integral (1 - r w)^-1 d nu = (1 - w)^(1-alpha), or its w-derivative
+    def resolvents(self, w: np.ndarray, parts: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+        """For each ``derivative`` in parts, integral (1 - r w)^-1 d nu =
+        (1 - w)^(1-alpha), or with it the w-derivative
         integral r (1 - r w)^-2 d nu = (alpha - 1) (1 - w)^-alpha.
 
         The power (1 - w)^e in real arithmetic, |1 - w|^e (cos e theta +
-        i sin e theta) with theta = arg(1 - w): faster than complex ``**`` and
-        within 5e-16 of mpmath down to gaps |1 - w| of 1e-12.
+        i sin e theta) with theta = arg(1 - w), both shared by the parts:
+        faster than complex ``**`` and within 5e-16 of mpmath down to gaps
+        |1 - w| of 1e-12.
         """
         w = np.asarray(w, dtype=complex)
-        e = -self.alpha if derivative else 1.0 - self.alpha
         x, y = 1.0 - w.real, -w.imag
-        mod = np.power(np.hypot(x, y), e)
-        arg = e * np.arctan2(y, x)
-        out = np.empty(w.shape, dtype=complex)
-        out.real = mod * np.cos(arg)
-        out.imag = mod * np.sin(arg)
-        if derivative:
-            out *= self.alpha - 1.0
-        return out
+        modulus, theta = np.hypot(x, y), np.arctan2(y, x)
+
+        def power(derivative: bool) -> np.ndarray:
+            e = -self.alpha if derivative else 1.0 - self.alpha
+            mod = np.power(modulus, e)
+            arg = e * theta
+            out = np.empty(w.shape, dtype=complex)
+            out.real = mod * np.cos(arg)
+            out.imag = mod * np.sin(arg)
+            if derivative:
+                out *= self.alpha - 1.0
+            return out
+
+        return tuple(power(derivative) for derivative in parts)
 
     def moments(self, n: np.ndarray) -> np.ndarray:
         """m_n = Gamma(n+alpha) / (Gamma(alpha) Gamma(n+2)), the Gamma ratio as
@@ -574,7 +597,7 @@ class NuAlphaDensity:
 
 
 @dataclass(frozen=True)
-class TabulatedDensity:
+class TabulatedDensity(_Component):
     """User-supplied density sampled on an increasing r-grid; trapezoid rule.
 
     Lower accuracy than the closed catalog: every functional of this component
@@ -625,10 +648,12 @@ class TabulatedDensity:
     def disk_moment(self, s: float) -> DivergibleValue:
         return _ladder(self, lambda u: (u * (2.0 - u)) ** (-s))
 
-    def resolvent(self, w: np.ndarray, derivative: bool) -> np.ndarray:
-        """The resolvent integral (or its w-derivative) summed on the grid."""
+    def resolvents(self, w: np.ndarray, parts: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+        """The resolvent integral (or its w-derivative) for each ``derivative``
+        in parts, summed on the grid."""
         w = np.asarray(w, dtype=complex)
-        return resolvent_sum(*self._grid(), w.ravel(), derivative).reshape(w.shape)
+        return tuple(v.reshape(w.shape)
+                     for v in resolvent_sums(*self._grid(), w.ravel(), parts))
 
     def moments(self, n: np.ndarray) -> np.ndarray:
         """m_n summed on the grid."""

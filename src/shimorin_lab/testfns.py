@@ -15,10 +15,13 @@ For both box families f_t, T f_t has the explicit expansion
     T f_t(z) = sum_n m_n (n+1) (integral_{E_t} f_t conj(lam)^n dA) z^n
 
 (term-by-term integration of the kernel's uniformly convergent conj(lam)
-series over E_t). The box moments are closed-form for the indicator and a
-tensor Gauss sum on the box for the aligned function. Box quadrature of the
-kernel itself, on the same ``_BOX_RULE`` (``direct_response`` in the tests'
-route_oracles), is the independent route the tests hold both expansions to.
+series over E_t), cut at the least degree N >= ceil(70/t) with
+(N + 1) (1 - t/2)^N <= ``_SERIES_TOL`` = 1e-14 (``_series_degree``): 599 at
+t = 2^-3, 89346 at 2^-10. The box moments are closed-form for the indicator
+and a tensor Gauss sum on the box for the aligned function. Box quadrature
+of the kernel itself, on the same ``_BOX_RULE`` (``direct_response`` in the
+tests' route_oracles), is the independent route the tests hold both
+expansions to.
 
 Strong norms at an even integer exponent q = 2k of a polynomial (T f_t, and
 f and T f of the power and block families) are exact coefficient sums:
@@ -272,9 +275,12 @@ def realpart_bound_reports(seed: int = 0, n_per_t: int = 2000) -> list[KernelBou
 # the box responses T f_t and their polar-grid norms
 # ---------------------------------------------------------------------------
 
-# The series is cut at the first N = ceil(70/t) 2^k with (N + 1) (1 - t/2)^N
-# below this; it bounds |c_N| / (m_N area), as |f_t| <= 1, |lam| <= 1 - t/2.
+# The series is cut at the least N >= ceil(70/t) with (N + 1) (1 - t/2)^N
+# below this (``_series_degree``); it bounds |c_N| / (m_N area), as
+# |f_t| <= 1, |lam| <= 1 - t/2.
 _SERIES_TOL = 1e-14
+# the largest degree the series search doubles up to
+_SERIES_CAP = 5_000_000
 # (radial, angular) Gauss orders of the box rule of the aligned moments and of
 # the tests' box quadrature of the kernel, so that the series and its
 # cross-check share one integral
@@ -288,14 +294,39 @@ _N_TERMS = 4096
 _ALIAS_MARGIN = 8
 
 
+def _series_degree(t: float) -> int:
+    """Degree N of the box-response series at scale t: the least N >=
+    ceil(70/t) with tail (N + 1) (1 - t/2)^N <= ``_SERIES_TOL``.
+
+    The tail decreases for N > 2/t, so a bisection finds N between
+    ceil(70/t) and the first ceil(70/t) 2^k that meets the tolerance. Where
+    no such 2^k multiple is below ``_SERIES_CAP``, N is the first one at or
+    above it.
+    """
+    decay = -math.log1p(-t / 2.0)
+
+    def meets(N: int) -> bool:
+        return (N + 1.0) * math.exp(-N * decay) <= _SERIES_TOL
+
+    lo = hi = int(math.ceil(70.0 / t))
+    while not meets(hi):
+        if hi >= _SERIES_CAP:
+            return hi
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _box_response(mu: RadialMeasure, t: float, box_moments) -> TaylorFunction:
     """Taylor coefficients m_n (n+1) M_n of T f_t at scale t, where
     ``box_moments(n)`` gives M_n = integral_{E_t} f_t conj(lam)^n dA on
-    n = 0, 1, ..., N."""
-    N = int(math.ceil(70.0 / t))
-    decay = -math.log1p(-t / 2.0)
-    while (N + 1.0) * math.exp(-N * decay) > _SERIES_TOL and N < 5_000_000:
-        N *= 2
+    n = 0, 1, ..., N, N = ``_series_degree(t)``."""
+    N = _series_degree(t)
     n = np.arange(N + 1)
     m = moment_prefix(mu, N).values
     # m_n (n+1) M_n may overflow; from_array then raises instead of warning
@@ -464,6 +495,39 @@ def ratio_experiment(mu: RadialMeasure, p: float, q: float, family: str,
     return RatioResult(param, f_norm, val)
 
 
+# a sweep whose norms are all Parseval sums or Bloch seminorms runs its scales
+# on two threads only when its series reach this degree. Below it the threads
+# contend for the GIL: on a 2-CPU host, indicator sweeps to t = 2^-9 (degree
+# 43936) ran as fast either way, those to 2^-10 (89346) 35% faster on two
+# threads, and the power and block families at p = q = 2 (degree 4096) 8-10%
+# slower
+_HELPER_DEGREE = 1 << 16
+
+
+def _gains_a_helper(p: float, q: float, family: str, params: list[float],
+                    weak: bool) -> bool:
+    """Whether a second thread shortens the sweep.
+
+    It does where a norm is sampled on the polar rule (a weak target, an odd
+    or fractional q < inf, or a family's ||f||_p at an odd or fractional p),
+    on the aligned family, whose box moments are a Gauss sum per index, and on
+    an indicator series of degree ``_HELPER_DEGREE`` or more at the smallest
+    t. The other scales cost less than the threads' contention.
+    """
+    if weak or not (q == math.inf or _even_half(q)):
+        return True
+    if family in ("power", "block"):
+        return not _even_half(p)
+    if family != "indicator":
+        return True
+    scales = [t for t in params if 0.0 < t <= 0.5]
+    if not scales:
+        return False
+    t = min(scales)
+    # the degree is at least 70/t, which is inf below t ~ 4e-307
+    return 70.0 / t >= _HELPER_DEGREE or _series_degree(t) >= _HELPER_DEGREE
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
     try:
@@ -524,12 +588,13 @@ def ratio_sweep(mu: RadialMeasure, p: float, q: float, family: str,
 
     The scales are independent, and the cost of one about doubles per octave
     of t. When the process may use two CPUs (its affinity mask, else
-    ``os.cpu_count()``) and the sweep has two scales or more, the calling
-    thread computes them from the smallest t up and one helper thread from
-    the largest t down, until they meet; otherwise the calling thread runs
-    them in sweep order. There is never more than one helper, so at most two
-    scales are alive at once. Every scale runs the same ``ratio_experiment``,
-    so the results, returned in sweep order, are the same bits either way.
+    ``os.cpu_count()``), the sweep has two scales or more and they cost
+    enough to gain (``_gains_a_helper``), the calling thread computes them
+    from the smallest t up and one helper thread from the largest t down,
+    until they meet; otherwise the calling thread runs them in sweep order.
+    There is never more than one helper, so at most two scales are alive at
+    once. Every scale runs the same ``ratio_experiment``, so the results,
+    returned in sweep order, are the same bits either way.
     On failure the error of the earliest failing scale in sweep order is
     raised, as the serial loop would raise it, and no thread outlives the
     call. An empty sweep is a ValueError.
@@ -541,7 +606,8 @@ def ratio_sweep(mu: RadialMeasure, p: float, q: float, family: str,
     def experiment(t):
         return ratio_experiment(mu, p, q, family, t, **kwargs)
 
-    if len(params) >= 2 and _usable_cpus() >= 2:
+    if (len(params) >= 2 and _usable_cpus() >= 2
+            and _gains_a_helper(p, q, family, params, kwargs.get("weak", False))):
         results = _two_ended(experiment, params)
     else:
         results = [experiment(t) for t in params]

@@ -129,15 +129,15 @@ class TestEmitters:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     # the sweep of the test below, exact to the last byte: its weak norms at
-    # t = 2^-3 .. 2^-6 take two passes over the field and at 2^-7, 2^-8 one
+    # t = 2^-3 .. 2^-5 take two passes over the field and at 2^-6 .. 2^-8 one
     WEAK_ENDPOINT_ROWS = (
         't,f_norm,tf_value,ratio,verdict\n'
         '0.125,0.00022536588621410961,0.00025504535294478507,1.1316945844344799,plateaued\n'
-        '0.0625,5.9255685599399512e-05,7.2534783580481812e-05,1.2240982927926307,plateaued\n'
+        '0.0625,5.9255685599399512e-05,7.2534783580481785e-05,1.2240982927926303,plateaued\n'
         '0.03125,1.517819815558389e-05,2.0049806702823557e-05,1.320960926804573,plateaued\n'
         '0.015625,3.8400841333627247e-06,5.4162724644475351e-06,1.4104567182241805,plateaued\n'
         '0.0078125,9.657128576490251e-07,1.440905170464841e-06,1.4920637734622748,plateaued\n'
-        '0.00390625,2.4213969245079926e-07,3.783743291508248e-07,1.5626282718092874,plateaued\n'
+        '0.00390625,2.4213969245079926e-07,3.7837432915082486e-07,1.5626282718092877,plateaued\n'
     )
 
     def test_ratio_scan_weak_endpoint_plateaus(self, capsys):
@@ -356,6 +356,9 @@ _REJECTED = {
                              "--p", "2"),
     "kernel-norm-beta-1e4": ("kernel-norm", "--measure", "power:1,1e4", "--z", "0.9",
                              "--p", "2"),
+    # exit 1, six checks failed with "exceeds 16" as if a bound were violated
+    **{f"verify-beta-200-{suite}": ("verify", "--measure", "power:1,200", "--suite", suite)
+       for suite in ("all", "kernel", "multiplier")},
     # "cannot convert float NaN to integer"
     "kernel-norm-z-nan": ("kernel-norm", "--measure", "lebesgue", "--z", "nan", "--p", "2"),
     # an overflow RuntimeWarning per scale above the error line
@@ -370,6 +373,13 @@ class TestFrontDoor:
         code, out, err = run_cli(*argv)
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_rule_beta_bound_names_its_constant(self):
+        # rejected before any check runs; the test functions need no rule
+        code, out, err = run_cli("verify", "--measure", "power:1,200", "--suite", "kernel")
+        assert code == EXIT_CONFIG and "POWER_BETA_MAX" in err
+        code, out, err = run_cli("verify", "--measure", "power:1,200", "--suite", "testfns")
+        assert code == EXIT_OK and json.loads(out)["passed"]
 
     def test_memory_error_exits_2_and_writes_nothing(self, tmp_path):
         # 8e11 bytes of indices; the address-space cap makes the allocation

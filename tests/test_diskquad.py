@@ -135,7 +135,9 @@ class TestLpNorm:
         # alive as well
         t = 2.0 ** -10
         tf = indicator_response(RadialMeasure.power(1.0, -0.5), t)
-        rule = _series_rule(tf.degree, t, q=3.0)
+        # the rule of degree 143360 has one radial panel more than the
+        # series' own (degree 89346, 240 radii)
+        rule = _series_rule(143360, t, q=3.0)
         assert rule.node_count() > 31 * diskquad._CHUNK
         tracemalloc.start()
         try:
@@ -380,6 +382,77 @@ class TestBloch:
     def test_requires_derivative(self):
         with pytest.raises(ValueError):
             bloch_seminorm(SampledFunction(lambda z: z))
+
+
+def bloch_on_every_circle(f: SampledFunction, depth: int, M: int) -> float:
+    """bloch_seminorm's value from the max over every circle of the sampler."""
+    radii = 1.0 - 2.0 ** (-np.arange(depth + 1, dtype=float))
+    best = 0.0
+    for lo, mods, _ in _circle_blocks(f.derivative, radii, M):
+        rho = radii[lo:lo + len(mods)]
+        best = max(best, float(np.max((1.0 - rho * rho) * mods.max(axis=1))))
+    _, center, _ = next(_circle_blocks(f.evaluate, np.zeros(1), 1))
+    return float(center[0, 0]) + best
+
+
+class TestBlochOrder:
+    """A polynomial f' is sampled circle by circle in decreasing order of the
+    bound (1 - rho^2) sum |d_m| rho^m, until no bound left can beat the max;
+    the value is the same bits as the max over every circle."""
+
+    @staticmethod
+    def of(tf: TaylorFunction) -> SampledFunction:
+        return SampledFunction(tf, tf.derivative())
+
+    def test_box_responses(self, monkeypatch):
+        sampled = []
+        sampler = diskquad._circle_blocks
+
+        def counting(f, radii, M, rows=None):
+            for block in sampler(f, radii, M, rows):
+                sampled.append(len(block[1]))
+                yield block
+
+        for mu in (RadialMeasure.power(1.0, -0.5), RadialMeasure.power(1.0, 0.5),
+                   RadialMeasure.lebesgue()):
+            for j in (3, 5, 8):
+                t = 2.0 ** -j
+                tf = indicator_response(mu, t)
+                f = self.of(tf)
+                rule = _series_rule(tf.degree, t)
+                depth, M = rule.radial_depth, rule.angular_count
+                monkeypatch.setattr(diskquad, "_circle_blocks", counting)
+                sampled.clear()
+                got = bloch_seminorm(f, depth, M)
+                monkeypatch.undo()
+                assert got == bloch_on_every_circle(f, depth, M), (mu, t)
+                # f' on at most two of the depth + 1 circles, then f at the center
+                assert sum(sampled) <= 3 < depth + 2, (mu, t, sampled)
+
+    def test_random_polynomials(self):
+        # explore's fields: degree 32..127, real or complex coefficients
+        rng = np.random.default_rng(7)
+        for i in range(60):
+            deg = int(rng.integers(32, 128))
+            c = rng.normal(size=deg + 1) * 3.0 ** rng.normal(size=deg + 1)
+            if i % 2:
+                c = c + 1j * rng.normal(size=deg + 1)
+            f = self.of(TaylorFunction.from_array(c))
+            assert bloch_seminorm(f) == bloch_on_every_circle(f, 30, 256), i
+
+    def test_constants(self):
+        for c in ([3.0 - 4.0j], [2.5], [0.0]):
+            f = self.of(TaylorFunction.from_array(c))
+            assert bloch_seminorm(f) == bloch_on_every_circle(f, 30, 256) == abs(c[0])
+
+    def test_overflowing_derivative_raises(self):
+        # |f'| = 1e308 |1 + z| overflows from rho = 7/8 on; the bound
+        # overflows there too and puts those circles first
+        f = SampledFunction(TaylorFunction.from_array([0.0]),
+                            TaylorFunction.from_array([1e308, 1e308]))
+        for route in (bloch_seminorm, lambda f: bloch_on_every_circle(f, 30, 256)):
+            with pytest.raises(NonFiniteSampleError):
+                route(f)
 
 
 def all_power_circles(tf: TaylorFunction, radii: np.ndarray, M: int) -> np.ndarray:

@@ -13,7 +13,14 @@ from shimorin_lab import constants as cns
 from shimorin_lab import diskquad
 from shimorin_lab import testfns
 from shimorin_lab.diskquad import DiskRule, lp_norm, weak_norm
-from shimorin_lab.measure import RadialMeasure, critical_index
+from shimorin_lab.measure import (
+    Atom,
+    NuAlphaDensity,
+    PowerDensity,
+    RadialMeasure,
+    TabulatedDensity,
+    critical_index,
+)
 from shimorin_lab.multiplier import moment_prefix
 from shimorin_lab.operator import TaylorFunction, apply_multiplier
 from shimorin_lab.testfns import (
@@ -460,6 +467,73 @@ class TestEvenNorms:
         # the wrapper sees the sampler where it still runs
         ratio_experiment(cat["lebesgue"], 4.0 / 3.0, 3.0, "indicator", 0.25)
         assert calls
+
+
+def _doubled_degree(t: float) -> int:
+    """The first degree ceil(70/t) 2^k whose tail meets ``_SERIES_TOL``, or
+    the first at or above 5e6: the box series' length before it was cut at
+    the least degree."""
+    N = math.ceil(70.0 / t)
+    decay = -math.log1p(-t / 2.0)
+    while (N + 1.0) * math.exp(-N * decay) > testfns._SERIES_TOL and N < 5_000_000:
+        N *= 2
+    return N
+
+
+_GRID = np.linspace(0.0, 0.99, 34)
+_SERIES_MEASURES = {
+    "mixture": RadialMeasure((Atom(0.5, 1.0),), (NuAlphaDensity(1.3), PowerDensity(0.7, 0.4))),
+    "tabulated": RadialMeasure(densities=(
+        TabulatedDensity(tuple(_GRID), tuple(0.5 + (1.0 - _GRID) ** 0.7)),)),
+}
+
+
+class TestSeriesLength:
+    @pytest.mark.parametrize("j", range(1, 17))
+    def test_least_degree_meeting_the_tolerance(self, j):
+        t = 2.0 ** -j
+        N = testfns._series_degree(t)
+
+        def meets(n):
+            return (n + 1.0) * (1.0 - t / 2.0) ** n <= testfns._SERIES_TOL
+
+        least = math.ceil(70.0 / t)
+        assert least <= N <= _doubled_degree(t)
+        assert meets(N) and (N == least or not meets(N - 1))
+
+    def test_degrees(self, cat):
+        assert [testfns._series_degree(2.0 ** -j) for j in (3, 6, 9, 10, 12)] == \
+            [599, 5202, 43936, 89346, 369068]
+        assert indicator_response(cat["lebesgue"], 2.0 ** -6).degree == 5202
+        # where no doubling below the cap meets the tolerance, the first at or
+        # above it is kept
+        assert testfns._series_degree(2.0 ** -20) == _doubled_degree(2.0 ** -20) == 70 << 20
+
+    @pytest.mark.parametrize("family", ["indicator", "aligned"])
+    @pytest.mark.parametrize("name", ["delta0", "delta1", "delta_half", "lebesgue",
+                                      "nu_alpha_1.5", "power_-0.5", "power_0.5",
+                                      "lebesgue_plus_atom1", "mixture", "tabulated"])
+    def test_agrees_with_the_doubled_series(self, cat, monkeypatch, name, family):
+        mu = _SERIES_MEASURES[name] if name in _SERIES_MEASURES else cat[name]
+        response = indicator_response if family == "indicator" else aligned_response
+        for t in (2.0 ** -3, 2.0 ** -5):
+            least = response(mu, t)
+            monkeypatch.setattr(testfns, "_series_degree", _doubled_degree)
+            doubled = response(mu, t)
+            monkeypatch.undo()
+            assert least.degree < doubled.degree
+            z_t = math.sqrt(1.0 - t)
+            a, b = abs(complex(least(z_t))), abs(complex(doubled(z_t)))
+            assert abs(a - b) <= 1e-13 * b, (t, a, b)
+            # both series on the rule of the shorter one: a radial panel less
+            # moves a weak norm by its quadrature error (7e-9 on the mixture
+            # at t = 2^-3), which is not the series' doing
+            rule = _series_rule(least.degree, t)
+            for q in (2.0, 3.0, 4.0):
+                a, b = _strong_norm(least, q, rule), _strong_norm(doubled, q, rule)
+                assert abs(a - b) <= 1e-14 * b, (t, q, a, b)
+            a, b = weak_norm(least, 4.0 / 3.0, rule), weak_norm(doubled, 4.0 / 3.0, rule)
+            assert abs(a - b) <= 1e-14 * b, (t, a, b)
 
 
 class TestSeriesRule:
